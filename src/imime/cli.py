@@ -74,10 +74,7 @@ def _cmd_analyze(args) -> int:
             jerk = face.estimate_jerk(track) if len(track) >= 5 else 0.0
             motion = ""
             if prev_frame is not None and prev_frame.same_size(frame):
-                regions = face.partition_regions(rect)
-                fields = [face.block_flow(prev_frame, frame, r) for r in regions]
-                cf = face.characteristic_flow(fields)
-                whole = face.block_flow(prev_frame, frame, (rect.x, rect.y, rect.w, rect.h))
+                cf, whole = face.flow_features(prev_frame, frame, rect)
                 motion = face.classify_motion(whole, cf)
             writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", est.label, f"{jerk:.4f}", motion])
             prev_frame = frame

@@ -126,7 +126,7 @@ def _canonical(name: str, routines) -> str:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> EpisodeConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     if path is not None:
         read = parser.read(path)
         if not read:

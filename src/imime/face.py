@@ -7,6 +7,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .frames import DimensionMismatch, Frame
@@ -128,10 +129,6 @@ class FlowField:
         return np.hypot(self.vectors[..., 0], self.vectors[..., 1])
 
 
-def _block_edges(extent: int, size: int) -> list[tuple[int, int]]:
-    return [(s, min(s + size, extent)) for s in range(0, extent, size)]
-
-
 def block_flow(
     prev: Frame,
     cur: Frame,
@@ -141,8 +138,12 @@ def block_flow(
 ) -> FlowField:
     """SAD block matching of `prev` content into `cur` within a region.
 
-    Ties are broken toward the smallest displacement magnitude, then
-    smallest |dy|, then smallest |dx|.
+    Each block of the region (the last row and column of blocks may be
+    smaller) takes the shift within `search_radius` whose sum of absolute
+    differences is least. Shifts that move the block partly out of the
+    frame are not candidates. Ties are broken toward the smallest
+    displacement magnitude, then smallest |dy|, then smallest |dx|, then
+    smallest dy, then smallest dx.
     """
     if not prev.same_size(cur):
         raise DimensionMismatch("frames differ in size")
@@ -150,46 +151,58 @@ def block_flow(
     H, W = prev.pixels.shape
     if x < 0 or y < 0 or x + w > W or y + h > H:
         raise ValueError("region outside frame")
-    p = prev.pixels[y : y + h, x : x + w].astype(np.int64)
-    c = cur.pixels.astype(np.int64)
+    if block_size < 1 or search_radius < 0:
+        raise ValueError("block_size must be >= 1 and search_radius >= 0")
+    r = search_radius
+    n = 2 * r + 1
+    row_starts = np.arange(0, h, block_size)
+    col_starts = np.arange(0, w, block_size)
+    row_ends = np.minimum(row_starts + block_size, h)
+    col_ends = np.minimum(col_starts + block_size, w)
+    ny, nx = row_starts.size, col_starts.size
+    centers = np.empty((ny, nx, 2))
+    centers[..., 0] = x + (col_starts + col_ends - 1) / 2.0
+    centers[..., 1] = (y + (row_starts + row_ends - 1) / 2.0)[:, None]
+    if ny == 0 or nx == 0:  # an empty region has no blocks to match
+        return FlowField(vectors=np.zeros((ny, nx, 2)), centers=centers, region=(x, y, w, h))
+    p = prev.pixels[y : y + h, x : x + w].astype(np.int16)
 
-    rows = _block_edges(h, block_size)
-    cols = _block_edges(w, block_size)
-    ny, nx = len(rows), len(cols)
-    best_sad = np.full((ny, nx), np.inf)
-    best = np.zeros((ny, nx, 2))
+    # the search window of `cur`, zero-padded to the radius; padded pixels
+    # only ever enter the SAD of out-of-frame shifts, which are masked below
+    win = np.zeros((h + 2 * r, w + 2 * r), dtype=np.int16)
+    y0, y1 = max(0, y - r), min(H, y + h + r)
+    x0, x1 = max(0, x - r), min(W, x + w + r)
+    win[y0 - y + r : y1 - y + r, x0 - x + r : x1 - x + r] = cur.pixels[y0:y1, x0:x1]
+    # shifted[row, col, dy + r, dx + r] = cur[y + row + dy, x + col + dx]
+    shifted = sliding_window_view(win, (n, n))
 
-    candidates = sorted(
-        (
-            (dx, dy)
-            for dy in range(-search_radius, search_radius + 1)
-            for dx in range(-search_radius, search_radius + 1)
-        ),
-        key=lambda d: (d[0] * d[0] + d[1] * d[1], abs(d[1]), abs(d[0]), d[1], d[0]),
-    )
-    for dx, dy in candidates:
-        r0 = max(0, -(y + dy))
-        r1 = min(h, H - (y + dy))
-        c0 = max(0, -(x + dx))
-        c1 = min(w, W - (x + dx))
-        if r0 >= r1 or c0 >= c1:
-            continue
-        diff = np.full((h, w), np.inf)
-        diff[r0:r1, c0:c1] = np.abs(
-            p[r0:r1, c0:c1] - c[y + dy + r0 : y + dy + r1, x + dx + c0 : x + dx + c1]
-        )
-        for i, (ra, rb) in enumerate(rows):
-            for j, (ca, cb) in enumerate(cols):
-                sad = diff[ra:rb, ca:cb].sum()
-                if sad < best_sad[i, j]:
-                    best_sad[i, j] = sad
-                    best[i, j] = (dx, dy)
+    # One row of blocks at a time, with the shifts as the innermost axes so
+    # that every numpy loop runs over all n*n of them. A whole-region
+    # difference volume would cost megabytes per call. Columns of `diff`
+    # past w stay zero, so a narrow last block column sums only its pixels.
+    # int32 sums, half the memory traffic of int64, while a block's SAD
+    # (at most 255 * block_size**2) stays below the out-of-frame sentinel
+    acc = np.int32 if 255 * block_size * block_size < np.iinfo(np.int32).max else np.int64
+    diff = np.zeros((min(block_size, h), nx * block_size, n, n), dtype=np.int16)
+    sad = np.empty((ny, nx, n, n), dtype=acc)
+    for i, (ra, rb) in enumerate(zip(row_starts, row_ends)):
+        d = diff[: rb - ra, :w]
+        np.subtract(shifted[ra:rb], p[ra:rb, :, None, None], out=d)
+        np.abs(d, out=d)
+        col_sums = diff[: rb - ra].sum(axis=0, dtype=acc)
+        np.sum(col_sums.reshape(nx, block_size, n, n), axis=1, out=sad[i])
 
-    centers = np.zeros((ny, nx, 2))
-    for i, (ra, rb) in enumerate(rows):
-        for j, (ca, cb) in enumerate(cols):
-            centers[i, j] = (x + (ca + cb - 1) / 2.0, y + (ra + rb - 1) / 2.0)
-    return FlowField(vectors=best, centers=centers, region=(x, y, w, h))
+    shifts = np.arange(-r, r + 1)
+    rows_in = (y + row_starts[:, None] + shifts >= 0) & (y + row_ends[:, None] + shifts <= H)  # (block row, dy)
+    cols_in = (x + col_starts[:, None] + shifts >= 0) & (x + col_ends[:, None] + shifts <= W)  # (block col, dx)
+    sad[~(rows_in[:, None, :, None] & cols_in[None, :, None, :])] = np.iinfo(acc).max
+
+    # candidates in tie-break order; argmin keeps the first minimum
+    dy, dx = (a.ravel() for a in np.meshgrid(shifts, shifts, indexing="ij"))
+    order = np.lexsort((dx, dy, np.abs(dx), np.abs(dy), dx * dx + dy * dy))
+    best = order[np.argmin(sad.reshape(ny, nx, n * n)[..., order], axis=-1)]
+    vectors = np.stack((dx[best], dy[best]), axis=-1).astype(float)
+    return FlowField(vectors=vectors, centers=centers, region=(x, y, w, h))
 
 
 def characteristic_flow(fields: list[FlowField]) -> np.ndarray:
@@ -200,6 +213,14 @@ def characteristic_flow(fields: list[FlowField]) -> np.ndarray:
     for f in fields:
         parts.extend(f.vectors.reshape(-1, 2).mean(axis=0))
     return np.array(parts)
+
+
+def flow_features(prev: Frame, cur: Frame, rect: FaceRect) -> tuple[np.ndarray, FlowField]:
+    """Block flow of a face from `prev` to `cur`: the 14-vector of region
+    means (see `characteristic_flow`) and the whole-face flow field."""
+    fields = [block_flow(prev, cur, r) for r in partition_regions(rect)]
+    whole = block_flow(prev, cur, (rect.x, rect.y, rect.w, rect.h))
+    return characteristic_flow(fields), whole
 
 
 def classify_expression(

@@ -94,11 +94,8 @@ class PixelPipeline:
                 jerk = face.estimate_jerk(self.track)
             if self.prev_face_frame is not None:
                 try:
-                    regions = face.partition_regions(rect)
-                    fields = [face.block_flow(self.prev_face_frame, face_frame, r) for r in regions]
-                    cf = face.characteristic_flow(fields)
+                    cf, whole = face.flow_features(self.prev_face_frame, face_frame, rect)
                     expression = face.classify_expression(cf, DEFAULT_EXPRESSION_REFS)
-                    whole = face.block_flow(self.prev_face_frame, face_frame, (rect.x, rect.y, rect.w, rect.h))
                     motion = face.classify_motion(whole, cf)
                 except (face.RectTooSmall, ValueError):
                     pass
@@ -191,9 +188,13 @@ def run_episode(cfg: EpisodeConfig):
             learner.observe(attention)
 
         # 4. behavior arbitration (scheduler coin from the scheduler stream,
-        #    epsilon draw from the policy stream)
+        #    epsilon draw from the policy stream); a decision counts as
+        #    explored only when the policy was consulted and explored
+        explored = False
+
         def policy_fn():
-            action, _ = learner.choose(state_now, rng_eps)
+            nonlocal explored
+            action, explored = learner.choose(state_now, rng_eps)
             return action
 
         old_routine = engine.state.current
@@ -203,11 +204,9 @@ def run_episode(cfg: EpisodeConfig):
         if routine != old_routine:
             log.transitions.append((tick, old_routine.value, routine.value, cause))
 
-        explored = False
         if decision:
             committed = (state_now, engine.state.policy_routine)
             learner.commit(*committed)
-            explored = engine.state.policy_routine != learner.q.greedy(state_now)
             log.decisions += 1
 
         log.rows.append(

@@ -22,6 +22,7 @@ EPSILON = 0.125
 GAMMA = 0.9
 VI_TOL = 1e-6
 VI_MAX_SWEEPS = 10_000
+VI_BATCH = 256  # most sweeps evaluated in one batch
 
 
 class UnknownStateOrAction(KeyError):
@@ -141,6 +142,14 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
 
     Residuals shrink by a factor gamma per sweep (contraction); the per-sweep
     history is kept on the returned table for inspection.
+
+    A sweep sees the one before only through the 2n state values (row
+    maxima). So the state values are carried forward in plain floats, each
+    through the entry that is its row maximum now, and then numpy evaluates
+    a batch of sweeps at once with the same operations as one sweep of the
+    whole table. A batch keeps its sweeps up to the first one whose row
+    maxima differ from the carried values, so tables and residuals equal
+    those of sweeping the whole table one sweep at a time.
     """
     cfg = cfg or PolicyConfig()
     n = len(model.routines)
@@ -149,18 +158,39 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
     gamma = cfg.gamma
     residuals = []
-    for _ in range(cfg.max_sweeps):
-        vmax = q.max(axis=1)  # value of best action in each state
-        v_att = vmax[1::2]  # successor state (action routine, attending=True)
-        v_not = vmax[0::2]
-        q_new = p + gamma * (p * (v_att - v_not) + v_not)
-        resid = float(np.abs(q_new - q).max())
-        residuals.append(resid)
-        q = q_new
-        if resid < cfg.tol:
-            table = QTable(model.routines, gamma, q.reshape(n, 2, n))
-            table.residuals = residuals
-            return table
+    while len(residuals) < cfg.max_sweeps:
+        best = q.argmax(axis=1)
+        terms = list(zip(p[np.arange(2 * n), best].tolist(), (2 * best + 1).tolist(), (2 * best).tolist()))
+        v = q.max(axis=1).tolist()  # value of best action in each state
+        carried = [v]
+        limit = min(VI_BATCH, cfg.max_sweeps - len(residuals))
+        while len(carried) < limit:
+            new = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
+            moved = max(abs(a - b) for a, b in zip(new, v))
+            carried.append(new)
+            v = new
+            # a sweep's residual is at most gamma times the move of the state
+            # values it starts from, so the sweep after this one converges
+            if moved < cfg.tol:
+                break
+        size = len(carried)
+        vs = np.array(carried)
+        v_att = vs[:, None, 1::2]  # successor state (action routine, attending=True)
+        v_not = vs[:, None, 0::2]
+        sweeps = np.empty((size + 1, 2 * n, n))
+        sweeps[0] = q
+        sweeps[1:] = p + gamma * (p * (v_att - v_not) + v_not)
+        # sweep k + 1 is exact while the carried values up to k are the row maxima
+        wrong = np.flatnonzero((sweeps[1:size].max(axis=2) != vs[1:]).any(axis=1))
+        valid = int(wrong[0]) + 1 if wrong.size else size
+        resid = np.abs(sweeps[1 : valid + 1] - sweeps[:valid]).reshape(valid, -1).max(axis=1)
+        for k, r in enumerate(resid.tolist()):
+            residuals.append(r)
+            if r < cfg.tol:
+                table = QTable(model.routines, gamma, sweeps[k + 1].reshape(n, 2, n).copy())
+                table.residuals = residuals
+                return table
+        q = sweeps[valid]
     raise NonConvergence(residuals[-1])
 
 

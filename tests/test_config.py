@@ -1,5 +1,9 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from imime import cli
 from imime.behavior import Routine
 from imime.config import ConfigError, EpisodeConfig, load_config
 
@@ -128,3 +132,22 @@ def test_validate_rejects_nonpositive_steps():
     cfg = EpisodeConfig(steps=0)
     with pytest.raises(ConfigError):
         cfg.validate()
+
+
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+def test_example_ini_gives_shipped_defaults():
+    example, default = load_config(str(EXAMPLE_INI)), load_config(None)
+    for name, value in vars(default).items():
+        if name != "profile":
+            assert getattr(example, name) == value, name
+    for name in ("routines", "erratic_rate", "compliance"):
+        assert getattr(example.profile, name) == getattr(default.profile, name), name
+    assert np.array_equal(example.profile.p_star, default.profile.p_star)
+
+
+def test_example_ini_runs_through_cli(tmp_path):
+    argv = ["run", "--config", str(EXAMPLE_INI), "--steps", "10", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "run" / "episode.csv").exists()

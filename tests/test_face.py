@@ -116,6 +116,159 @@ def test_block_flow_exact_on_random_integer_translation(dx, dy, seed):
     assert np.all(field.vectors[..., 1] == dy)
 
 
+def _loop_block_flow(prev, cur, region, block_size=face.BLOCK_SIZE, search_radius=face.SEARCH_RADIUS):
+    """Reference block matcher: one shift and one block at a time, an
+    `inf` SAD for blocks the shift moves out of the frame, and a strict `<`
+    over candidates visited in tie-break order."""
+    x, y, w, h = region
+    H, W = prev.pixels.shape
+    p = prev.pixels[y : y + h, x : x + w].astype(np.int64)
+    c = cur.pixels.astype(np.int64)
+
+    rows = [(s, min(s + block_size, h)) for s in range(0, h, block_size)]
+    cols = [(s, min(s + block_size, w)) for s in range(0, w, block_size)]
+    ny, nx = len(rows), len(cols)
+    best_sad = np.full((ny, nx), np.inf)
+    best = np.zeros((ny, nx, 2))
+
+    candidates = sorted(
+        (
+            (dx, dy)
+            for dy in range(-search_radius, search_radius + 1)
+            for dx in range(-search_radius, search_radius + 1)
+        ),
+        key=lambda d: (d[0] * d[0] + d[1] * d[1], abs(d[1]), abs(d[0]), d[1], d[0]),
+    )
+    for dx, dy in candidates:
+        r0 = max(0, -(y + dy))
+        r1 = min(h, H - (y + dy))
+        c0 = max(0, -(x + dx))
+        c1 = min(w, W - (x + dx))
+        if r0 >= r1 or c0 >= c1:
+            continue
+        diff = np.full((h, w), np.inf)
+        diff[r0:r1, c0:c1] = np.abs(
+            p[r0:r1, c0:c1] - c[y + dy + r0 : y + dy + r1, x + dx + c0 : x + dx + c1]
+        )
+        for i, (ra, rb) in enumerate(rows):
+            for j, (ca, cb) in enumerate(cols):
+                sad = diff[ra:rb, ca:cb].sum()
+                if sad < best_sad[i, j]:
+                    best_sad[i, j] = sad
+                    best[i, j] = (dx, dy)
+
+    centers = np.zeros((ny, nx, 2))
+    for i, (ra, rb) in enumerate(rows):
+        for j, (ca, cb) in enumerate(cols):
+            centers[i, j] = (x + (ca + cb - 1) / 2.0, y + (ra + rb - 1) / 2.0)
+    return best, centers
+
+
+def _assert_matches_loop(prev, cur, region, block_size, search_radius):
+    field = face.block_flow(prev, cur, region, block_size, search_radius)
+    vectors, centers = _loop_block_flow(prev, cur, region, block_size, search_radius)
+    assert field.vectors.dtype == vectors.dtype and field.centers.dtype == centers.dtype
+    assert np.array_equal(field.vectors, vectors)
+    assert np.array_equal(field.centers, centers)
+    assert field.region == tuple(region)
+
+
+@st.composite
+def _flow_case(draw):
+    H, W = draw(st.integers(16, 36)), draw(st.integers(16, 36))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "shifted", "periodic", "identical", "flat"]))
+    prev_px = rng.integers(0, 256, size=(H, W), dtype=np.uint8)
+    if kind == "random":
+        cur_px = rng.integers(0, 256, size=(H, W), dtype=np.uint8)
+    elif kind in ("shifted", "periodic"):
+        if kind == "periodic":
+            # shifts congruent modulo the tile tie, so the tie-break decides
+            if draw(st.booleans()):
+                a, b = rng.integers(0, 256, size=2)
+                tile = np.array([[a, b], [b, a]])
+            else:
+                tile = rng.integers(0, 256, size=(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+            reps = (H // tile.shape[0] + 1, W // tile.shape[1] + 1)
+            prev_px = np.tile(tile, reps)[:H, :W].astype(np.uint8)
+        dy, dx = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+        cur_px = np.roll(prev_px, (dy, dx), axis=(0, 1))
+    elif kind == "identical":
+        cur_px = prev_px.copy()
+    else:
+        prev_px = np.full((H, W), draw(st.integers(0, 255)), dtype=np.uint8)
+        cur_px = np.full((H, W), draw(st.integers(0, 255)), dtype=np.uint8)
+    w, h = draw(st.integers(1, W)), draw(st.integers(1, H))
+    # snap the region to the left/right and top/bottom frame edges often
+    x = draw(st.one_of(st.just(0), st.just(W - w), st.integers(0, W - w)))
+    y = draw(st.one_of(st.just(0), st.just(H - h), st.integers(0, H - h)))
+    return Frame(prev_px), Frame(cur_px), (x, y, w, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_flow_case(), block_size=st.sampled_from([3, 8]), search_radius=st.sampled_from([2, 7]))
+def test_block_flow_bit_identical_to_loop_reference(case, block_size, search_radius):
+    prev, cur, region = case
+    _assert_matches_loop(prev, cur, region, block_size, search_radius)
+
+
+@pytest.mark.parametrize("block_size", [3, 8])
+@pytest.mark.parametrize("search_radius", [2, 7])
+def test_block_flow_matches_loop_at_every_frame_edge(block_size, search_radius):
+    rng = np.random.default_rng(block_size * 10 + search_radius)
+    prev = _textured(32, rng)
+    cur = Frame(np.roll(prev.pixels, (1, -2), axis=(0, 1)))
+    flat = flat_frame(size=32)
+    # uneven last blocks: 13 and 19 are multiples of neither block size
+    for region in ((0, 0, 13, 19), (19, 0, 13, 19), (0, 13, 19, 19), (13, 13, 19, 19), (0, 0, 32, 32)):
+        _assert_matches_loop(prev, cur, region, block_size, search_radius)
+        _assert_matches_loop(prev, prev, region, block_size, search_radius)
+        _assert_matches_loop(flat, flat, region, block_size, search_radius)
+
+
+def test_block_flow_tie_break_order():
+    checker = np.indices((32, 32)).sum(axis=0) % 2 * 200
+    prev = frame_from(checker)
+    cur = frame_from(np.roll(checker, 1, axis=1))
+    # (+-1, 0) and (0, +-1) all match exactly: smallest |dy| first, then smallest dx
+    field = face.block_flow(prev, cur, (8, 8, 16, 16))
+    assert np.all(field.vectors == (-1, 0))
+    # at the left frame edge dx = -1 leaves the frame for the first block column
+    field = face.block_flow(prev, cur, (0, 8, 16, 16))
+    assert np.all(field.vectors[:, 0] == (1, 0))
+    assert np.all(field.vectors[:, 1:] == (-1, 0))
+    # horizontal stripes: (0, -1) and (0, +1) match exactly, smallest dy wins
+    stripes = np.indices((32, 32))[0] % 2 * 200
+    field = face.block_flow(frame_from(stripes), frame_from(np.roll(stripes, 1, axis=0)), (8, 8, 16, 16))
+    assert np.all(field.vectors == (0, -1))
+
+
+def test_block_flow_rejects_bad_geometry():
+    f = flat_frame()
+    with pytest.raises(ValueError):
+        face.block_flow(f, f, (60, 0, 8, 8))
+    with pytest.raises(ValueError):
+        face.block_flow(f, f, (0, 0, 8, 8), block_size=0)
+    with pytest.raises(ValueError):
+        face.block_flow(f, f, (0, 0, 8, 8), search_radius=-1)
+    # a zero-width or zero-height region has no blocks: an empty field
+    for region in ((5, 5, 0, 8), (5, 5, 8, 0), (64, 64, 0, 0)):
+        field = face.block_flow(f, f, region)
+        assert field.vectors.size == 0
+        _assert_matches_loop(f, f, region, face.BLOCK_SIZE, face.SEARCH_RADIUS)
+
+
+def test_flow_features_match_separate_calls():
+    rng = np.random.default_rng(9)
+    prev = _textured(64, rng)
+    cur = Frame(np.roll(prev.pixels, (1, 2), axis=(0, 1)))
+    rect = face.FaceRect(10, 8, 40, 48)
+    cf, whole = face.flow_features(prev, cur, rect)
+    fields = [face.block_flow(prev, cur, r) for r in face.partition_regions(rect)]
+    assert np.array_equal(cf, face.characteristic_flow(fields))
+    assert np.array_equal(whole.vectors, face.block_flow(prev, cur, (10, 8, 40, 48)).vectors)
+
+
 # --- characteristic_flow --------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ import pytest
 from imime import cli, harness
 from imime.behavior import Routine
 from imime.config import load_config
-from imime.learning import PolicyConfig, StateId, TransitionModel, update_values
+from imime.learning import Learner, PolicyConfig, StateId, TransitionModel, update_values
 from imime.viewer import default_profile
 
 # SHA-256 of the per-frame log of a fixed reference episode (label mode,
@@ -141,6 +141,27 @@ def test_metrics_fields_and_consistency():
     assert 0.0 <= m["exploration_rate"] <= 1.0
     assert abs(m["regret"] - (m["oracle_value"] - m["discounted_return"])) < 1e-12
     assert m["cumulative_reward"] == sum(r["reward"] for r in log.decision_rows())
+
+
+def test_exploration_counts_only_consulted_policy_choices(monkeypatch):
+    chose = []
+
+    class RecordingLearner(Learner):
+        def choose(self, s, rng):
+            action, explored = super().choose(s, rng)
+            chose.append(explored)
+            return action, explored
+
+    monkeypatch.setattr(harness, "Learner", RecordingLearner)
+    # one frame per decision with the game silenced: every tick is a decision
+    cfg = load_config(None, {"steps": 600, "seed": 11})
+    cfg.frame_rate = 0.5
+    cfg.behavior.t_idle = 1e9
+    log, learner = harness.run_episode(cfg.validate())
+    assert 0 < len(chose) < log.decisions  # the scheduler skips the policy on some ticks
+    assert sum(r["explore"] for r in log.rows) == sum(chose)
+    m = harness.metrics(log, learner, cfg.profile)
+    assert m["exploration_rate"] == sum(chose) / log.decisions
 
 
 def test_save_episode_writes_all_artifacts(tmp_path):

@@ -184,6 +184,82 @@ def test_value_iteration_nonconvergence_raises():
     assert exc.value.residual > 1e-12
 
 
+def _sweep_update_values(model, cfg, q0=None):
+    """Reference: one numpy sweep of the whole table at a time."""
+    n = len(model.routines)
+    p = model.p.reshape(2 * n, n)
+    q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
+    residuals = []
+    for _ in range(cfg.max_sweeps):
+        vmax = q.max(axis=1)
+        v_att = vmax[1::2]
+        v_not = vmax[0::2]
+        q_new = p + cfg.gamma * (p * (v_att - v_not) + v_not)
+        resid = float(np.abs(q_new - q).max())
+        residuals.append(resid)
+        q = q_new
+        if resid < cfg.tol:
+            return q.reshape(n, 2, n), residuals
+    raise NonConvergence(residuals[-1])
+
+
+@st.composite
+def _value_case(draw):
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 10_000))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["uniform", "halves", "counts", "flat"]))
+    if kind == "uniform":
+        p = rng.random((n, 2, n))
+    elif kind == "halves":  # many tied entries
+        p = rng.integers(0, 3, (n, 2, n)) / 2.0
+    elif kind == "counts":  # k / (k + m) estimates, as the learner makes them
+        k, m = rng.integers(0, 6, (2, n, 2, n))
+        p = np.where(k + m > 0, k / np.maximum(k + m, 1), 0.5)
+    else:
+        p = np.full((n, 2, n), 0.5)
+    q0 = None
+    if draw(st.booleans()):
+        q0 = QTable(R4[:n], 0.9, rng.normal(0.0, 5.0, (n, 2, n)))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
+    return TransitionModel(R4[:n], p), PolicyConfig(gamma=gamma, tol=tol), q0
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_value_case())
+def test_update_values_bit_identical_to_whole_table_sweeps(case):
+    model, cfg, q0 = case
+    q = update_values(model, cfg, q0)
+    expected, residuals = _sweep_update_values(model, cfg, q0)
+    assert q.q.tobytes() == expected.tobytes()
+    assert q.residuals == residuals
+
+
+def test_update_values_bit_identical_along_a_learning_run():
+    # warm starts after one changed cell, as Learner.observe makes them
+    rng = np.random.default_rng(5)
+    learner = Learner(R4)
+    for _ in range(300):
+        s = StateId(R4[int(rng.integers(4))], bool(rng.integers(2)))
+        learner.commit(s, R4[int(rng.integers(4))])
+        q0 = learner.q
+        learner.observe(att_state(bool(rng.random() < 0.6)))
+        expected, residuals = _sweep_update_values(learner.model, learner.cfg, q0)
+        assert learner.q.q.tobytes() == expected.tobytes()
+        assert learner.q.residuals == residuals
+
+
+def test_update_values_nonconvergence_matches_whole_table_sweeps():
+    model = TransitionModel(R4, np.full((4, 2, 4), 0.9))
+    cfg = PolicyConfig(tol=1e-12, max_sweeps=100)
+    with pytest.raises(NonConvergence) as got:
+        update_values(model, cfg)
+    with pytest.raises(NonConvergence) as want:
+        _sweep_update_values(model, cfg)
+    assert got.value.residual == want.value.residual
+
+
 def test_value_iteration_zero_evidence_is_symmetric():
     # all-0.5 model: every action looks identical, Q = 0.5 / (1 - gamma)
     model = TransitionModel(R4)  # defaults to 0.5 everywhere
