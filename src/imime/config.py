@@ -29,7 +29,6 @@ class EpisodeConfig:
     seed: int = 1
     out_dir: str = "runs/episode"
     dump_frames: bool = False
-    async_values: bool = False
     learning: PolicyConfig = field(default_factory=PolicyConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -53,6 +52,34 @@ class EpisodeConfig:
         if self.steps < 1:
             raise ConfigError("episode.steps", "steps must be >= 1")
         _ = self.frames_per_decision
+        learning, profile = self.learning, self.profile
+        # `not` around each range keeps NaN out too
+        if not 0.0 <= learning.gamma < 1.0:
+            raise ConfigError("learning.gamma", f"gamma must be in [0, 1) (got {learning.gamma})")
+        if not learning.tol > 0.0:
+            raise ConfigError("learning.tol", f"tol must be > 0 (got {learning.tol})")
+        if learning.max_sweeps < 1:
+            raise ConfigError("learning.max_sweeps", f"max_sweeps must be >= 1 (got {learning.max_sweeps})")
+        for key, value in (
+            ("learning.epsilon", learning.epsilon),
+            ("profile.compliance", profile.compliance),
+            ("profile.erratic_rate", profile.erratic_rate),
+        ):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(key, f"must be in [0, 1] (got {value})")
+        p = profile.p_star
+        bad = np.argwhere(~((p >= 0.0) & (p <= 1.0)))
+        if len(bad):
+            i, j, l = bad[0]
+            names = [r.value.lower() for r in profile.routines]
+            att = "attending" if j else "notattending"
+            raise ConfigError(
+                f"p_star.{names[i]}.{att}.{names[l]}", f"probability must be in [0, 1] (got {p[i, j, l]})"
+            )
+        if not profile.routines:
+            raise ConfigError("profile.routines", "no routines")
+        if not self.behavior.selectable:
+            raise ConfigError("behavior.selectable", "no selectable routines")
         self.behavior.frame_rate = self.frame_rate
         return self
 
@@ -79,8 +106,6 @@ def _get(parser, section, key, cast, default):
 
 def _load_profile(parser) -> ViewerProfile:
     base = default_profile()
-    if not parser.has_section("profile"):
-        return base
     routines = base.routines
     if parser.has_option("profile", "routines"):
         routines = _parse_routines(parser.get("profile", "routines"), "profile.routines")
@@ -140,7 +165,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
         seed=_get(parser, "episode", "seed", int, 1),
         out_dir=_get(parser, "episode", "out", str, "runs/episode"),
         dump_frames=_get(parser, "episode", "dump_frames", bool, False),
-        async_values=_get(parser, "episode", "async_values", bool, False),
     )
     cfg.learning = PolicyConfig(
         epsilon=_get(parser, "learning", "epsilon", float, 0.125),

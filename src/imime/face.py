@@ -67,23 +67,19 @@ class FaceRect:
             raise ValueError("face rect outside frame")
 
 
-def _frac_region(lo_col, hi_col, lo_row, hi_row):
-    return (lo_col, hi_col, lo_row, hi_row)
-
-
 @dataclass(frozen=True)
 class RegionLayout:
     """Seven fractional sub-rectangles of a face rect, (col_lo, col_hi, row_lo, row_hi)."""
 
     regions: dict = field(
         default_factory=lambda: {
-            "LeftEyebrow": _frac_region(0.10, 0.45, 0.15, 0.30),
-            "RightEyebrow": _frac_region(0.55, 0.90, 0.15, 0.30),
-            "LeftEye": _frac_region(0.10, 0.45, 0.30, 0.45),
-            "RightEye": _frac_region(0.55, 0.90, 0.30, 0.45),
-            "LeftCheek": _frac_region(0.10, 0.45, 0.50, 0.70),
-            "RightCheek": _frac_region(0.55, 0.90, 0.50, 0.70),
-            "Mouth": _frac_region(0.30, 0.70, 0.70, 0.90),
+            "LeftEyebrow": (0.10, 0.45, 0.15, 0.30),
+            "RightEyebrow": (0.55, 0.90, 0.15, 0.30),
+            "LeftEye": (0.10, 0.45, 0.30, 0.45),
+            "RightEye": (0.55, 0.90, 0.30, 0.45),
+            "LeftCheek": (0.10, 0.45, 0.50, 0.70),
+            "RightCheek": (0.55, 0.90, 0.50, 0.70),
+            "Mouth": (0.30, 0.70, 0.70, 0.90),
         }
     )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +132,7 @@ def run_episode(cfg: EpisodeConfig):
     rng_noise = np.random.default_rng(seeds[3])
 
     profile = cfg.profile
-    learner = Learner(profile.routines, cfg.learning, async_mode=cfg.async_values)
+    learner = Learner(profile.routines, cfg.learning)
     engine = BehaviorEngine(cfg.behavior, initial=profile.routines[0])
     engine.state.policy_routine = profile.routines[0]
     evaluator = AttentionEvaluator(cfg.fusion)
@@ -146,7 +147,7 @@ def run_episode(cfg: EpisodeConfig):
         os.makedirs(frames_dir, exist_ok=True)
 
     committed: tuple[StateId, Routine] | None = None
-    label_jerk_window: list[tuple[float, float]] = []
+    label_jerk_window: deque[tuple[float, float]] = deque(maxlen=5)
 
     for tick in range(cfg.steps):
         decision = tick % fpd == 0
@@ -162,13 +163,10 @@ def run_episode(cfg: EpisodeConfig):
         # 2. perception
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
-            if len(label_jerk_window) > 5:
-                label_jerk_window.pop(0)
             jerk = 0.0
             if len(label_jerk_window) == 5:
-                p = np.array(label_jerk_window)
-                d = p[4] - 4 * p[3] + 6 * p[2] - 4 * p[1] + p[0]
-                jerk = float(np.hypot(d[0], d[1]))
+                (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = label_jerk_window
+                jerk = float(np.hypot(x4 - 4 * x3 + 6 * x2 - 4 * x1 + x0, y4 - 4 * y3 + 6 * y2 - 4 * y1 + y0))
             attention = _label_mode_attention(vstate, evaluator, now, jerk)
             orientation_label = "Frontal" if attention.attending else ("Right" if vstate.yaw > 0 else "Left")
             ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
@@ -232,36 +230,40 @@ def run_episode(cfg: EpisodeConfig):
 def oracle_policy(profile: viewer.ViewerProfile, gamma: float = 0.9, tol: float = 1e-10):
     """Exact value iteration on the TRUE attend probabilities.
 
-    Deliberately independent of learning.update_values: plain dict/loop code
-    over (routine, attending) states, used as the brute-force oracle.
+    Deliberately independent of learning.update_values: plain loop code over
+    (routine, attending) states, used as the brute-force oracle. State
+    (routines[i], attending) has index 2 * i + attending; each (state,
+    action) is looked up once as (p, index of the attending successor,
+    index of the inattentive one).
     """
     states = [(r, att) for r in profile.routines for att in (False, True)]
-    values = {s: 0.0 for s in states}
+    actions = [
+        [(profile.prob(r, att, a), 2 * l + 1, 2 * l) for l, a in enumerate(profile.routines)] for r, att in states
+    ]
+    v = [0.0] * len(states)
     for _ in range(1_000_000):
-        new_values = {}
+        new_v = []
         delta = 0.0
-        for s in states:
+        for s, row in enumerate(actions):
             best = None
-            for a in profile.routines:
-                p = profile.prob(s[0], s[1], a)
-                q = p * (1.0 + gamma * values[(a, True)]) + (1.0 - p) * gamma * values[(a, False)]
+            for p, t, f in row:
+                q = p * (1.0 + gamma * v[t]) + (1.0 - p) * gamma * v[f]
                 if best is None or q > best:
                     best = q
-            new_values[s] = best
-            delta = max(delta, abs(best - values[s]))
-        values = new_values
+            new_v.append(best)
+            delta = max(delta, abs(best - v[s]))
+        v = new_v
         if delta < tol:
             break
     policy = {}
-    for s in states:
-        best_a, best_q = None, None
-        for a in profile.routines:
-            p = profile.prob(s[0], s[1], a)
-            q = p * (1.0 + gamma * values[(a, True)]) + (1.0 - p) * gamma * values[(a, False)]
+    for s, row in zip(states, actions):
+        best_l, best_q = None, None
+        for l, (p, t, f) in enumerate(row):
+            q = p * (1.0 + gamma * v[t]) + (1.0 - p) * gamma * v[f]
             if best_q is None or q > best_q:
-                best_a, best_q = a, q
-        policy[s] = best_a
-    return policy, values
+                best_l, best_q = l, q
+        policy[s] = profile.routines[best_l]
+    return policy, dict(zip(states, v))
 
 
 # --- metrics ------------------------------------------------------------------

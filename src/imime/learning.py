@@ -10,7 +10,6 @@ bit of the successor is the (binary) reward.
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,36 +212,15 @@ def select_action(q: QTable, s: StateId, epsilon: float, rng: np.random.Generato
 
 class Learner:
     """Glue: records decision-tick outcomes, refreshes the model, and keeps
-    the value table current before each action selection.
+    the value table current before each action selection."""
 
-    `async_mode` runs value iteration on a worker thread with a convergence
-    barrier at each decision tick, so observable results match the
-    synchronous mode exactly.
-    """
-
-    def __init__(self, routines: tuple[Routine, ...], cfg: PolicyConfig | None = None, async_mode: bool = False):
+    def __init__(self, routines: tuple[Routine, ...], cfg: PolicyConfig | None = None):
         self.cfg = cfg or PolicyConfig()
         self.table = OutcomeTable(routines)
         self.model = TransitionModel.from_table(self.table)
         self.q = update_values(self.model, self.cfg)
-        self.async_mode = async_mode
-        self._worker: threading.Thread | None = None
         self.previous: tuple[StateId, Routine] | None = None
         self.outcomes_recorded = 0
-
-    def _refresh_values(self) -> None:
-        if self.async_mode:
-            result: dict = {}
-
-            def run():
-                result["q"] = update_values(self.model, self.cfg, q0=self.q)
-
-            self._worker = threading.Thread(target=run)
-            self._worker.start()
-            self._worker.join()  # convergence barrier at the decision tick
-            self.q = result["q"]
-        else:
-            self.q = update_values(self.model, self.cfg, q0=self.q)
 
     def observe(self, attention: AttentionState) -> None:
         """Attribute the attending bit at this decision tick to the previous
@@ -253,7 +231,7 @@ class Learner:
         self.table.record(s, a, bool(attention.attending))
         self.model.refresh_cell(self.table, s, a)
         self.outcomes_recorded += 1
-        self._refresh_values()
+        self.q = update_values(self.model, self.cfg, q0=self.q)
 
     def choose(self, s: StateId, rng: np.random.Generator) -> tuple[Routine, bool]:
         """Select an action for state s; returns (action, explored)."""

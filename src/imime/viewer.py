@@ -107,7 +107,7 @@ def step_viewer(
     p = profile.prob(s_routine, s_attending, action)
     attending = bool(rng.random() < p)
     if attending:
-        yaw = float(np.clip(rng.normal(0.0, 3.0), -10.0, 10.0))
+        yaw = min(max(rng.normal(0.0, 3.0), -10.0), 10.0)
     else:
         yaw = float(rng.uniform(20.0, 45.0)) * (1.0 if rng.random() < 0.5 else -1.0)
     burst = state.burst_left
@@ -126,8 +126,8 @@ def frame_update(
     delayed compliant response to a gesture prompt."""
     x = state.x + float(rng.normal(0.0, 0.3))
     y = state.y + float(rng.normal(0.0, 0.3))
-    x = float(np.clip(x, 40.0, 88.0))
-    y = float(np.clip(y, 40.0, 80.0))
+    x = min(max(x, 40.0), 88.0)
+    y = min(max(y, 40.0), 80.0)
     burst_left, burst_phase = state.burst_left, state.burst_phase
     if burst_left > 0:
         x += BURST_AMPLITUDE * (1.0 if burst_phase % 2 == 0 else -1.0)

@@ -348,9 +348,8 @@ def test_criterion_8_midi():
 
 
 def test_criterion_9_determinism(tmp_path):
-    def run_to(name, async_values):
+    def run_to(name):
         cfg = load_config(None, {"steps": 300, "seed": 12, "out_dir": str(tmp_path / name)})
-        cfg.async_values = async_values
         log, learner = harness.run_episode(cfg)
         harness.save_episode(cfg, log, learner)
         return {
@@ -358,14 +357,13 @@ def test_criterion_9_determinism(tmp_path):
             for f in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv")
         }
 
-    a = run_to("a", False)
-    b = run_to("b", False)
-    c = run_to("c", True)
+    a = run_to("a")
+    b = run_to("b")
     report(
         9,
-        "byte-identical logs across runs and value modes",
-        a == b == c,
-        f"repeat={'ok' if a == b else 'differs'}, sync-vs-async={'ok' if a == c else 'differs'}",
+        "byte-identical logs across runs",
+        a == b,
+        f"repeat={'ok' if a == b else 'differs'}",
     )
 
 

@@ -42,7 +42,6 @@ frame_rate = 5
 decision_period = 2
 seed = 42
 dump_frames = true
-async_values = yes
 
 [learning]
 epsilon = 0.2
@@ -73,7 +72,7 @@ noise_sigma = 0
     cfg = load_config(path)
     assert cfg.mode == "pixels" and cfg.steps == 250 and cfg.seed == 42
     assert cfg.frames_per_decision == 10
-    assert cfg.dump_frames and cfg.async_values
+    assert cfg.dump_frames
     assert cfg.learning.epsilon == 0.2 and cfg.learning.gamma == 0.8
     assert cfg.behavior.t_idle == 30.0 and cfg.behavior.r_hi == 0.5
     assert cfg.fusion.tau_jerk == 15.0
@@ -119,6 +118,55 @@ def test_bad_p_star_key(tmp_path):
     path = write(tmp_path, "[profile]\ncompliance = 0.9\n[p_star]\nattending.moonwalk = 0.5\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_p_star_applies_without_profile_section(tmp_path):
+    path = write(tmp_path, "[p_star]\nattending.mimic = 0.95\n")
+    cfg = load_config(path)
+    assert cfg.profile.prob(Routine.Ponder, True, Routine.Mimic) == 0.95
+
+
+# (section, key, value, the key the error must name)
+OUT_OF_RANGE = [
+    ("learning", "gamma", "1.0", "learning.gamma"),
+    ("learning", "gamma", "-0.5", "learning.gamma"),
+    ("learning", "gamma", "nan", "learning.gamma"),
+    ("learning", "tol", "0", "learning.tol"),
+    ("learning", "tol", "-1e-6", "learning.tol"),
+    ("learning", "max_sweeps", "0", "learning.max_sweeps"),
+    ("learning", "epsilon", "2", "learning.epsilon"),
+    ("learning", "epsilon", "-0.1", "learning.epsilon"),
+    ("profile", "compliance", "2", "profile.compliance"),
+    ("profile", "compliance", "nan", "profile.compliance"),
+    ("profile", "erratic_rate", "-0.1", "profile.erratic_rate"),
+    ("profile", "erratic_rate", "1.5", "profile.erratic_rate"),
+    ("profile", "routines", "", "profile.routines"),
+    ("p_star", "attending.mimic", "1.5", "p_star.beckon.attending.mimic"),
+    ("p_star", "ponder.notattending.beckon", "-0.2", "p_star.ponder.notattending.beckon"),
+    ("behavior", "selectable", "", "behavior.selectable"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("section, key, value, named", OUT_OF_RANGE)
+def test_out_of_range_key_exits_2_naming_it(tmp_path, capsys, command, section, key, value, named):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    argv = [command, "--config", path] + (["--steps", "10", "--out", str(tmp_path / "run")] if command == "run" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}:")
+    assert captured.out == ""
+
+
+def test_range_boundaries_accepted(tmp_path):
+    path = write(
+        tmp_path,
+        "[learning]\ngamma = 0\nepsilon = 1\nmax_sweeps = 2\n"
+        "[profile]\ncompliance = 0\nerratic_rate = 1\n"
+        "[p_star]\nattending.mimic = 1\nnotattending.beckon = 0\n",
+    )
+    assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
+    assert cli.main(["oracle", "--config", path]) == 0
 
 
 def test_overrides_win(tmp_path):

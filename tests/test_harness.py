@@ -3,12 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from imime import cli, harness
+from imime import cli, harness, viewer
 from imime.behavior import Routine
 from imime.config import load_config
 from imime.learning import Learner, PolicyConfig, StateId, TransitionModel, update_values
-from imime.viewer import default_profile
+from imime.viewer import ViewerProfile, default_profile
 
 # SHA-256 of the per-frame log of a fixed reference episode (label mode,
 # 200 frames, seed 7, all defaults). Any change to the RNG stream order,
@@ -70,16 +72,30 @@ def test_same_seed_same_log_different_seed_different():
     assert harness.log_digest(log_a) != harness.log_digest(log_c)
 
 
-def test_sync_and_async_value_modes_byte_identical(tmp_path):
-    outputs = {}
-    for name, async_values in (("sync", False), ("async", True)):
-        cfg, log, learner = run(steps=300, seed=5, async_values=async_values, out_dir=str(tmp_path / name))
-        harness.save_episode(cfg, log, learner)
-        outputs[name] = {
-            f: (tmp_path / name / f).read_bytes()
-            for f in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv")
-        }
-    assert outputs["sync"] == outputs["async"]
+def test_label_mode_jerk_equals_array_form(monkeypatch):
+    positions, jerks = [], []
+    frame_update, label_attention = viewer.frame_update, harness._label_mode_attention
+
+    def recording_frame_update(*args, **kwargs):
+        state = frame_update(*args, **kwargs)
+        positions.append((state.x, state.y))
+        return state
+
+    def recording_attention(vstate, evaluator, now, jerk):
+        jerks.append(jerk)
+        return label_attention(vstate, evaluator, now, jerk)
+
+    monkeypatch.setattr(viewer, "frame_update", recording_frame_update)
+    monkeypatch.setattr(harness, "_label_mode_attention", recording_attention)
+    cfg = load_config(None, {"steps": 400, "seed": 13})
+    cfg.profile.erratic_rate = 0.15  # bursts give jerks above the reflex threshold
+    harness.run_episode(cfg)
+    assert len(jerks) == 400 and jerks[:4] == [0.0] * 4
+    for t in range(4, 400):
+        p = np.array(positions[t - 4 : t + 1])
+        d = p[4] - 4 * p[3] + 6 * p[2] - 4 * p[1] + p[0]
+        assert jerks[t].hex() == float(np.hypot(d[0], d[1])).hex(), t
+    assert max(jerks) > cfg.fusion.tau_jerk
 
 
 def test_label_and_pixel_modes_agree_without_vision_noise():
@@ -94,6 +110,61 @@ def test_label_and_pixel_modes_agree_without_vision_noise():
 
 
 # --- oracle ---------------------------------------------------------------------------
+
+
+def reference_oracle_policy(profile, gamma=0.9, tol=1e-10):
+    """The dict/`profile.prob` value iteration that `harness.oracle_policy`
+    must reproduce bit for bit."""
+    states = [(r, att) for r in profile.routines for att in (False, True)]
+    values = {s: 0.0 for s in states}
+    for _ in range(1_000_000):
+        new_values = {}
+        delta = 0.0
+        for s in states:
+            best = None
+            for a in profile.routines:
+                p = profile.prob(s[0], s[1], a)
+                q = p * (1.0 + gamma * values[(a, True)]) + (1.0 - p) * gamma * values[(a, False)]
+                if best is None or q > best:
+                    best = q
+            new_values[s] = best
+            delta = max(delta, abs(best - values[s]))
+        values = new_values
+        if delta < tol:
+            break
+    policy = {}
+    for s in states:
+        best_a, best_q = None, None
+        for a in profile.routines:
+            p = profile.prob(s[0], s[1], a)
+            q = p * (1.0 + gamma * values[(a, True)]) + (1.0 - p) * gamma * values[(a, False)]
+            if best_q is None or q > best_q:
+                best_a, best_q = a, q
+        policy[s] = best_a
+    return policy, values
+
+
+@st.composite
+def _oracle_case(draw):
+    routines = tuple(draw(st.permutations(list(Routine)))[: draw(st.integers(1, 4))])
+    n = len(routines)
+    p = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2, n))
+    if draw(st.booleans()):
+        p = np.round(p, 1)  # few distinct values: tied actions
+    gamma = draw(st.floats(0.0, 0.99))
+    tol = 10.0 ** -draw(st.integers(1, 12))
+    return ViewerProfile(routines=routines, p_star=p), gamma, tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_oracle_case())
+def test_oracle_policy_equals_reference_exactly(case):
+    profile, gamma, tol = case
+    policy, values = harness.oracle_policy(profile, gamma, tol)
+    ref_policy, ref_values = reference_oracle_policy(profile, gamma, tol)
+    assert list(policy.items()) == list(ref_policy.items())
+    assert list(values) == list(ref_values)
+    assert [v.hex() for v in values.values()] == [v.hex() for v in ref_values.values()]
 
 
 def test_oracle_policy_on_default_profile():

@@ -342,25 +342,6 @@ def test_learner_attributes_outcome_to_previous_decision():
     assert lr.outcomes_recorded == 2
 
 
-def test_learner_async_matches_sync_exactly():
-    def run(async_mode):
-        lr = Learner(R4, PolicyConfig(), async_mode=async_mode)
-        rng = np.random.default_rng(7)
-        s = StateId(Routine.Beckon, False)
-        for _ in range(60):
-            a, _ = lr.choose(s, rng)
-            lr.commit(s, a)
-            attending = bool(rng.random() < 0.6)
-            lr.observe(att_state(attending))
-            s = StateId(a, attending)
-        return lr
-
-    sync, asyn = run(False), run(True)
-    assert np.array_equal(sync.table.k, asyn.table.k)
-    assert np.array_equal(sync.table.m, asyn.table.m)
-    assert np.array_equal(sync.q.q, asyn.q.q)
-
-
 def test_learner_random_policy_is_uniform():
     lr = Learner(R4, PolicyConfig(random_policy=True))
     rng = np.random.default_rng(13)

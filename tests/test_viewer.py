@@ -69,6 +69,17 @@ def test_step_viewer_yaw_ranges():
             assert 20.0 <= abs(st.yaw) <= 45.0
 
 
+def test_step_viewer_attending_yaw_matches_clip():
+    profile = default_profile()
+    profile.p_star[:] = 1.0  # always attending
+    rng, twin = np.random.default_rng(28), np.random.default_rng(28)
+    for _ in range(2000):
+        st = step_viewer(profile, ViewerState(), Routine.Mimic, True, Routine.Mimic, rng)
+        twin.random()
+        want = float(np.clip(twin.normal(0.0, 3.0), -10.0, 10.0))
+        assert st.attending and st.yaw.hex() == want.hex()
+
+
 def test_frame_update_burst_produces_jerk_above_threshold():
     rng = np.random.default_rng(23)
     state = ViewerState(burst_left=viewer.BURST_LENGTH)
@@ -91,6 +102,21 @@ def test_frame_update_burst_produces_jerk_above_threshold():
         state = nxt
     assert max(jerks[:10]) > 12.0
     assert max(jerks[14:]) < 12.0
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(40.0, 40.0), (88.0, 80.0), (39.9, 80.1), (88.1, 39.9), (-1e9, 1e9), (1e9, -1e9), (64.0, 60.0), (40.05, 79.95)],
+)
+def test_frame_update_position_bounds_match_clip(x, y):
+    # the jitter draws replayed from a twin generator give the np.clip form
+    rng, twin = np.random.default_rng(27), np.random.default_rng(27)
+    for _ in range(50):
+        state = frame_update(ViewerState(x=x, y=y), None, rng)
+        want_x = float(np.clip(x + float(twin.normal(0.0, 0.3)), 40.0, 88.0))
+        want_y = float(np.clip(y + float(twin.normal(0.0, 0.3)), 40.0, 80.0))
+        assert (state.x.hex(), state.y.hex()) == (want_x.hex(), want_y.hex())
+        assert type(state.x) is float and type(state.y) is float
 
 
 def test_frame_update_compliant_gesture_after_delay():
