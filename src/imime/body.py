@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +93,35 @@ def drape(
     cols = mask.any(axis=0)
     if cols.any():
         limits[cols] = mask.argmax(axis=0)[cols].astype(float)
-    y = np.zeros(w)
-    for _ in range(max_iters):
-        fallen = np.minimum(y + gravity, limits)
-        padded = np.concatenate(([fallen[0]], fallen, [fallen[-1]]))
-        neighbor_avg = (padded[:-2] + padded[2:]) / 2.0
-        relaxed = np.minimum(fallen + coupling * (neighbor_avg - fallen), limits)
-        if np.abs(relaxed - y).max() < tol:
-            y = relaxed
+    # Free fall: while the level cloth stays above every support, each
+    # iteration adds exactly `gravity` to every node (the neighbor term is
+    # 0.0), so those iterations run on one float, summed as the loop sums.
+    fall, start = 0.0, 0
+    lowest = limits.min()
+    if gravity > 0 and math.isfinite(coupling):
+        while start < max_iters and fall + gravity <= lowest and not abs(fall + gravity - fall) < tol:
+            fall, start = fall + gravity, start + 1
+    y = np.full(w, fall)
+    relaxed = np.empty(w)
+    padded = np.empty(w + 2)  # fallen, with each end node repeated
+    fallen = padded[1:-1]
+    step = np.empty(w)
+    for _ in range(start, max_iters):
+        np.add(y, gravity, out=fallen)
+        np.minimum(fallen, limits, out=fallen)
+        padded[0], padded[-1] = fallen[0], fallen[-1]
+        # relaxed = min(fallen + coupling * ((left + right) / 2 - fallen), limits)
+        np.add(padded[:-2], padded[2:], out=step)
+        step /= 2.0
+        step -= fallen
+        step *= coupling
+        step += fallen
+        np.minimum(step, limits, out=relaxed)
+        np.subtract(relaxed, y, out=step)
+        np.abs(step, out=step)
+        y, relaxed = relaxed, y
+        if step.max() < tol:
             break
-        y = relaxed
     heights = h - y  # measure up from the frame bottom
     span = heights.max() - heights.min()
     if span == 0:
@@ -118,63 +137,17 @@ def classify_pose(
     """Label of the reference with the highest Pearson correlation, or Unknown."""
     if not refs:
         raise EmptyReferenceSet("no pose references")
+    a = np.asarray(profile, float)
+    sa = a.std()
+    da = a - a.mean()
     best_label, best_r = "Unknown", -np.inf
     for ref in refs:
         if len(ref.profile) != len(profile):
             raise LengthMismatch(f"reference {ref.label} length {len(ref.profile)} != {len(profile)}")
-        r = _pearson(profile, ref.profile)
+        b = np.asarray(ref.profile, float)
+        sb = b.std()
+        # Pearson correlation, 0 when either profile is constant
+        r = 0.0 if sa == 0 or sb == 0 else float((da * (b - b.mean())).mean() / (sa * sb))
         if r > best_r:
             best_label, best_r = ref.label, r
     return best_label if best_r >= tau_pose else "Unknown"
-
-
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    sa, sb = a.std(), b.std()
-    if sa == 0 or sb == 0:
-        return 0.0
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-
-
-def save_background_csv(model: BackgroundModel, path) -> None:
-    h, w = model.shape
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["row", "kind"] + [f"c{i}" for i in range(w)])
-        for r in range(h):
-            writer.writerow([r, "mean"] + [f"{v:.6g}" for v in model.mean[r]])
-            writer.writerow([r, "var"] + [f"{v:.6g}" for v in model.var[r]])
-
-
-def load_background_csv(path) -> BackgroundModel:
-    means, vars_ = {}, {}
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            r, kind = int(row[0]), row[1]
-            vals = np.array([float(v) for v in row[2:]])
-            (means if kind == "mean" else vars_)[r] = vals
-    h = len(means)
-    mean = np.stack([means[r] for r in range(h)])
-    var = np.stack([vars_[r] for r in range(h)])
-    return BackgroundModel(mean=mean, var=var)
-
-
-def save_pose_references_csv(refs: list[PoseReference], path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["label"] + [f"c{i}" for i in range(len(refs[0].profile))])
-        for ref in refs:
-            writer.writerow([ref.label] + [f"{v:.8g}" for v in ref.profile])
-
-
-def load_pose_references_csv(path) -> list[PoseReference]:
-    refs = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)
-        for row in reader:
-            refs.append(PoseReference(row[0], np.array([float(v) for v in row[1:]])))
-    return refs

@@ -4,6 +4,7 @@ section headers. Every key has a default; see README for the full table."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from .attention import FusionConfig
 from .behavior import BehaviorConfig, Routine
 from .learning import PolicyConfig
-from .viewer import SceneConfig, ViewerProfile, default_profile
+from .viewer import SceneConfig, SceneError, ViewerProfile, default_profile
 
 
 class ConfigError(ValueError):
@@ -38,7 +39,7 @@ class EpisodeConfig:
     @property
     def frames_per_decision(self) -> int:
         ratio = self.decision_period * self.frame_rate
-        n = round(ratio)
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > 1e-9:
             raise ConfigError(
                 "episode.decision_period",
@@ -51,6 +52,10 @@ class EpisodeConfig:
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
         if self.steps < 1:
             raise ConfigError("episode.steps", "steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("episode.seed", f"seed must be >= 0 (got {self.seed})")
+        if not (math.isfinite(self.frame_rate) and self.frame_rate > 0.0):
+            raise ConfigError("episode.frame_rate", f"must be > 0 and finite (got {self.frame_rate})")
         _ = self.frames_per_decision
         learning, profile = self.learning, self.profile
         # `not` around each range keeps NaN out too
@@ -80,8 +85,54 @@ class EpisodeConfig:
             raise ConfigError("profile.routines", "no routines")
         if not self.behavior.selectable:
             raise ConfigError("behavior.selectable", "no selectable routines")
+        self._validate_behavior_and_fusion()
         self.behavior.frame_rate = self.frame_rate
         return self
+
+    def _validate_behavior_and_fusion(self) -> None:
+        behavior, fusion = self.behavior, self.fusion
+        # durations become frame counts, so they must stay finite in frames
+        for key, value, positive in (
+            ("behavior.t_idle", behavior.t_idle, False),
+            ("behavior.t_ponder", behavior.t_ponder, False),
+            ("behavior.t_resp", behavior.t_resp, True),
+            ("behavior.t_feedback", behavior.t_feedback, False),
+            ("fusion.t_recent", fusion.t_recent, False),
+        ):
+            if not ((value > 0.0 if positive else value >= 0.0) and math.isfinite(value * self.frame_rate)):
+                bound = "> 0" if positive else ">= 0"
+                raise ConfigError(key, f"must be {bound} seconds and finite at the frame rate (got {value})")
+        if not 0.0 <= behavior.r_lo < 1.0:
+            raise ConfigError("behavior.r_lo", f"must be in [0, 1) (got {behavior.r_lo})")
+        if not behavior.r_lo < behavior.r_hi <= 1.0:
+            raise ConfigError("behavior.r_hi", f"must be in (r_lo, 1] (got {behavior.r_hi}, r_lo {behavior.r_lo})")
+        if fusion.k_erratic < 1:
+            raise ConfigError("fusion.k_erratic", f"must be >= 1 (got {fusion.k_erratic})")
+        if not (math.isfinite(fusion.tau_jerk) and fusion.tau_jerk > 0.0):
+            raise ConfigError("fusion.tau_jerk", f"must be > 0 and finite (got {fusion.tau_jerk})")
+
+
+# the keys each section may hold; [p_star] keys are checked as they are parsed
+SECTION_KEYS = {
+    "episode": ("mode", "steps", "frame_rate", "decision_period", "seed", "out", "dump_frames"),
+    "learning": ("epsilon", "gamma", "tol", "max_sweeps", "random_policy"),
+    "behavior": ("t_idle", "t_ponder", "t_resp", "t_feedback", "r_lo", "r_hi", "selectable"),
+    "fusion": ("tau_jerk", "k_erratic", "t_recent"),
+    "profile": ("routines", "erratic_rate", "compliance"),
+    "p_star": None,
+    "scene": ("width", "height", "bg_intensity", "noise_sigma", "face_ax", "face_ay"),
+}
+
+
+def _check_keys(parser) -> None:
+    for key in parser.defaults():
+        raise ConfigError(f"DEFAULT.{key}", "unknown key")
+    for section in parser.sections():
+        if section not in SECTION_KEYS:
+            raise ConfigError(section, "unknown section")
+        for key in parser.options(section):
+            if SECTION_KEYS[section] is not None and key not in SECTION_KEYS[section]:
+                raise ConfigError(f"{section}.{key}", "unknown key")
 
 
 def _parse_routines(text: str, key: str) -> tuple[Routine, ...]:
@@ -98,7 +149,7 @@ def _get(parser, section, key, cast, default):
     raw = parser.get(section, key)
     try:
         if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return parser.getboolean(section, key)
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", f"bad value {raw!r}") from exc
@@ -151,11 +202,16 @@ def _canonical(name: str, routines) -> str:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> EpisodeConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    # values are literal: no `%` interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if path is not None:
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError("config", f"cannot parse {path}: {exc}") from exc
         if not read:
             raise ConfigError("config", f"cannot read {path}")
+    _check_keys(parser)
 
     cfg = EpisodeConfig(
         mode=_get(parser, "episode", "mode", str, "labels"),
@@ -192,14 +248,17 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
         t_recent=_get(parser, "fusion", "t_recent", float, 2.0),
     )
     cfg.profile = _load_profile(parser)
-    cfg.scene = SceneConfig(
-        width=_get(parser, "scene", "width", int, 128),
-        height=_get(parser, "scene", "height", int, 128),
-        bg_intensity=_get(parser, "scene", "bg_intensity", float, 60.0),
-        noise_sigma=_get(parser, "scene", "noise_sigma", float, 2.0),
-        face_ax=_get(parser, "scene", "face_ax", int, 24),
-        face_ay=_get(parser, "scene", "face_ay", int, 30),
-    )
+    try:
+        cfg.scene = SceneConfig(
+            width=_get(parser, "scene", "width", int, 128),
+            height=_get(parser, "scene", "height", int, 128),
+            bg_intensity=_get(parser, "scene", "bg_intensity", float, 60.0),
+            noise_sigma=_get(parser, "scene", "noise_sigma", float, 2.0),
+            face_ax=_get(parser, "scene", "face_ax", int, 24),
+            face_ay=_get(parser, "scene", "face_ay", int, 30),
+        )
+    except SceneError as exc:
+        raise ConfigError(f"scene.{exc.key}", exc.message) from exc
 
     if overrides:
         for key, value in overrides.items():

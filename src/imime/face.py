@@ -277,9 +277,28 @@ def classify_motion(
 def symmetry_score(frame: Frame, rect: FaceRect) -> float:
     """Mean mirrored pixel distance in [0, 1] after a 3x3 median filter."""
     rect.validate(frame)
-    sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
-    med = ndimage.median_filter(sub, size=3, mode="reflect")
+    med = _median3x3(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]).astype(float)
     return float(np.abs(med - med[:, ::-1]).mean() / 255.0)
+
+
+def _median3x3(img: np.ndarray) -> np.ndarray:
+    """3x3 median with edges reflected, equal to
+    `ndimage.median_filter(img, size=3, mode="reflect")`, by a min/max
+    network: sort each vertical triple, then the median of the nine is the
+    median of (largest low, median of the middles, smallest high) across
+    three neighboring columns."""
+    p = np.pad(img, 1, mode="symmetric")
+    a, b, c = p[:-2], p[1:-1], p[2:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid, hi = np.minimum(hi, c), np.maximum(hi, c)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    low = np.maximum(np.maximum(lo[:, :-2], lo[:, 1:-1]), lo[:, 2:])
+    high = np.minimum(np.minimum(hi[:, :-2], hi[:, 1:-1]), hi[:, 2:])
+    return _median3(low, _median3(mid[:, :-2], mid[:, 1:-1], mid[:, 2:]), high)
+
+
+def _median3(a, b, c):
+    return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
 def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE) -> float:
@@ -375,16 +394,17 @@ class BrightnessBlobDetector:
         self.threshold = threshold
 
     def detect(self, frame: Frame) -> FaceRect | None:
-        mask = frame.pixels.astype(float) >= self.threshold
+        mask = frame.pixels >= self.threshold
         if not mask.any():
             return None
-        labeled, n = ndimage.label(mask)
+        # every blob lies inside the bounding box of all bright pixels
+        x0, x1, y0, y1 = _bounds(mask)
+        box = mask[y0:y1, x0:x1]
+        labeled, n = ndimage.label(box)
         if n > 1:
-            sizes = ndimage.sum(mask, labeled, index=range(1, n + 1))
-            mask = labeled == (int(np.argmax(sizes)) + 1)
-        ys, xs = np.nonzero(mask)
-        x0, x1 = int(xs.min()), int(xs.max()) + 1
-        y0, y1 = int(ys.min()), int(ys.max()) + 1
+            sizes = ndimage.sum(box, labeled, index=range(1, n + 1))
+            bx0, bx1, by0, by1 = _bounds(labeled == (int(np.argmax(sizes)) + 1))
+            x0, x1, y0, y1 = x0 + bx0, x0 + bx1, y0 + by0, y0 + by1
         # pad out to the minimum rect size, staying inside the frame
         while x1 - x0 < MIN_FACE_SIDE:
             if x0 > 0:
@@ -401,3 +421,10 @@ class BrightnessBlobDetector:
             else:
                 return None
         return FaceRect(x0, y0, x1 - x0, y1 - y0)
+
+
+def _bounds(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """Half-open (x0, x1, y0, y1) bounding box of the True pixels."""
+    cols = np.flatnonzero(mask.any(axis=0))
+    rows = np.flatnonzero(mask.any(axis=1))
+    return int(cols[0]), int(cols[-1]) + 1, int(rows[0]), int(rows[-1]) + 1

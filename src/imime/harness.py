@@ -98,7 +98,7 @@ class PixelPipeline:
                     cf, whole = face.flow_features(self.prev_face_frame, face_frame, rect)
                     expression = face.classify_expression(cf, DEFAULT_EXPRESSION_REFS)
                     motion = face.classify_motion(whole, cf)
-                except (face.RectTooSmall, ValueError):
+                except face.RectTooSmall:  # a face too small to split into regions has no flow cues
                     pass
             ratio = rect.w * rect.h / (face_frame.width * face_frame.height)
         self.prev_face_frame = face_frame

@@ -263,16 +263,3 @@ class Learner:
                                 f"{self.q.q[i, j, l]:.10g}",
                             ]
                         )
-
-    def load_csv(self, path) -> None:
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            next(reader)
-            by_value = {r.value: r for r in self.table.routines}
-            for row in reader:
-                sr, j, a = by_value[row[0]], int(row[1]), by_value[row[2]]
-                i, l = self.table.index[sr], self.table.index[a]
-                self.table.k[i, j, l] = int(row[3])
-                self.table.m[i, j, l] = int(row[4])
-        self.model = TransitionModel.from_table(self.table)
-        self.q = update_values(self.model, self.cfg)

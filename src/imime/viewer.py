@@ -4,13 +4,14 @@ mode) or rendered face/body frames plus per-frame ground truth (pixel mode)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .behavior import Routine
 from .body import PoseReference, drape
-from .frames import Frame
+from .frames import MIN_SIDE, Frame
 
 POSE_LABELS = ("ArmsDown", "LeftArmRaised", "RightArmRaised", "BothArmsRaised", "Wave")
 
@@ -26,6 +27,14 @@ FEATURE_SHIFT_FRAC = 0.19  # feature shift at full yaw, as a fraction of the sem
 
 class UnknownPoseLabel(ValueError):
     pass
+
+
+class SceneError(ValueError):
+    """A scene that cannot be rendered; `key` names the bad field."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(f"{key}: {message}")
+        self.key, self.message = key, message
 
 
 @dataclass
@@ -90,8 +99,16 @@ class SceneConfig:
     body_intensity: float = 160.0
 
     def __post_init__(self):
-        if 2 * self.face_ax + 1 > self.width or 2 * self.face_ay + 1 > self.height:
-            raise ValueError("face does not fit in the frame")
+        for key, side in (("width", self.width), ("height", self.height)):
+            if side < MIN_SIDE:
+                raise SceneError(key, f"frame side must be >= {MIN_SIDE} (got {side})")
+        for key, semi, side in (("face_ax", self.face_ax, self.width), ("face_ay", self.face_ay, self.height)):
+            if not (semi >= 1 and 2 * semi + 1 <= side):
+                raise SceneError(key, f"face does not fit in the frame (semi-axis {semi}, frame side {side})")
+        if not math.isfinite(self.bg_intensity):
+            raise SceneError("bg_intensity", f"must be finite (got {self.bg_intensity})")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise SceneError("noise_sigma", f"must be >= 0 and finite (got {self.noise_sigma})")
 
 
 def step_viewer(
@@ -180,23 +197,25 @@ def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random
 
     cx, cy = round(state.x), round(state.y)
     ax, ay = scene.face_ax, scene.face_ay
-    ys, xs = np.mgrid[0:h, 0:w]
+    # everything below lies in the head's bounding box, clipped to the frame
+    x0, y0 = max(cx - ax, 0), max(cy - ay, 0)
+    x1, y1 = max(min(cx + ax + 1, w), x0), max(min(cy + ay + 1, h), y0)
+    ys, xs = np.ogrid[y0:y1, x0:x1]
+    box = img[y0:y1, x0:x1]
     inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
-    img[inside] = scene.face_intensity
-
     slope = SHADE_SLOPE_AT_45 * state.yaw / 45.0
-    img[inside] += slope * (xs[inside] - cx)
+    np.copyto(box, scene.face_intensity + slope * (xs - cx), where=inside)
 
     shift = int(round(FEATURE_SHIFT_FRAC * ax * state.yaw / 45.0))
     eye_dy = -int(round(0.30 * ay))
     eye_dx = int(round(0.42 * ax))
     for ex in (cx - eye_dx + shift, cx + eye_dx + shift):
         disk = (xs - ex) ** 2 + (ys - (cy + eye_dy)) ** 2 <= 9
-        img[disk & inside] = scene.feature_intensity
+        box[disk & inside] = scene.feature_intensity
     mouth_y = cy + int(round(0.45 * ay))
     mouth_hw = int(round(0.40 * ax))
     bar = (np.abs(xs - (cx + shift)) <= mouth_hw) & (np.abs(ys - mouth_y) <= 1)
-    img[bar & inside] = scene.feature_intensity
+    box[bar & inside] = scene.feature_intensity
 
     frame = Frame(np.clip(img, 0, 255).astype(np.uint8))
     rect = (cx - ax, cy - ay, 2 * ax + 1, 2 * ay + 1)

@@ -177,30 +177,129 @@ def test_pose_length_mismatch():
 def test_pearson_bounds_and_symmetry():
     rng = np.random.default_rng(2)
     a, b = rng.normal(size=50), rng.normal(size=50)
-    r = body._pearson(a, b)
+    r = reference_pearson(a, b)
     assert -1.0 <= r <= 1.0
-    assert abs(r - body._pearson(b, a)) < 1e-12
-    assert abs(body._pearson(a, a) - 1.0) < 1e-12
-    assert abs(body._pearson(a, -a) + 1.0) < 1e-12
+    assert abs(r - reference_pearson(b, a)) < 1e-12
+    assert abs(reference_pearson(a, a) - 1.0) < 1e-12
+    assert abs(reference_pearson(a, -a) + 1.0) < 1e-12
 
 
-# --- CSV round trips --------------------------------------------------------------------
+# --- bit identity with the plain implementations --------------------------------------
 
 
-def test_background_csv_roundtrip(tmp_path):
-    model = body.train_background([frame_const(90), frame_const(110), frame_const(95)])
-    path = tmp_path / "bg.csv"
-    body.save_background_csv(model, path)
-    loaded = body.load_background_csv(path)
-    assert np.allclose(loaded.mean, model.mean, atol=1e-4)
-    assert np.allclose(loaded.var, model.var, atol=1e-4)
+def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
+    """`body.drape` as a plain loop: every iteration, no free-fall shortcut."""
+    h, w = mask.shape
+    limits = np.full(w, float(h))
+    cols = mask.any(axis=0)
+    if cols.any():
+        limits[cols] = mask.argmax(axis=0)[cols].astype(float)
+    y = np.zeros(w)
+    for _ in range(max_iters):
+        fallen = np.minimum(y + gravity, limits)
+        padded = np.concatenate(([fallen[0]], fallen, [fallen[-1]]))
+        neighbor_avg = (padded[:-2] + padded[2:]) / 2.0
+        relaxed = np.minimum(fallen + coupling * (neighbor_avg - fallen), limits)
+        if np.abs(relaxed - y).max() < tol:
+            y = relaxed
+            break
+        y = relaxed
+    heights = h - y
+    span = heights.max() - heights.min()
+    if span == 0:
+        return np.zeros(w)
+    return (heights - heights.min()) / span
 
 
-def test_pose_references_csv_roundtrip(tmp_path):
-    refs = _refs()
-    path = tmp_path / "refs.csv"
-    body.save_pose_references_csv(refs, path)
-    loaded = body.load_pose_references_csv(path)
-    assert [r.label for r in loaded] == ["Ramp", "Bump"]
-    for orig, got in zip(refs, loaded):
-        assert np.allclose(got.profile, orig.profile, atol=1e-7)
+def reference_pearson(a, b):
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    sa, sb = a.std(), b.std()
+    if sa == 0 or sb == 0:
+        return 0.0
+    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+
+
+def reference_classify_pose(profile, refs, tau_pose=body.TAU_POSE):
+    """`body.classify_pose` with the profile's statistics recomputed per reference."""
+    best_label, best_r = "Unknown", -np.inf
+    for ref in refs:
+        r = reference_pearson(profile, ref.profile)
+        if r > best_r:
+            best_label, best_r = ref.label, r
+    return best_label if best_r >= tau_pose else "Unknown"
+
+
+@st.composite
+def drape_masks(draw):
+    h, w = draw(st.integers(1, 48)), draw(st.integers(1, 48))
+    kind = draw(st.sampled_from(["columns", "random", "empty", "full", "one column"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "columns":  # a silhouette: each column solid below its top row
+        for c, top in enumerate(rng.integers(0, h + 1, size=w)):
+            mask[top:, c] = True
+    elif kind == "random":
+        mask = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+    elif kind == "full":
+        mask[:] = True
+    elif kind == "one column":
+        mask[rng.integers(0, h) :, rng.integers(0, w)] = True
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mask=drape_masks(),
+    gravity=st.one_of(st.just(body.DRAPE_GRAVITY), st.floats(0.05, 20.0)),
+    coupling=st.one_of(st.just(body.DRAPE_COUPLING), st.floats(0.0, 1.0)),
+    tol=st.one_of(st.just(body.DRAPE_TOL), st.floats(1e-3, 5.0)),
+    max_iters=st.one_of(st.just(body.DRAPE_MAX_ITERS), st.integers(0, 40)),
+)
+def test_drape_bit_identical_to_reference(mask, gravity, coupling, tol, max_iters):
+    got = body.drape(mask, gravity, coupling, tol, max_iters)
+    assert got.tobytes() == reference_drape(mask, gravity, coupling, tol, max_iters).tobytes()
+
+
+@pytest.mark.parametrize(
+    "gravity, coupling, tol",
+    [(0.0, 0.25, 0.05), (-1.5, 0.25, 0.05), (0.1, 0.25, 0.05), (2.0, 0.25, float("nan")), (2.0, 0.25, -1.0),
+     (2.0, float("inf"), 0.05), (2.0, float("nan"), 0.05), (float("inf"), 0.25, 0.05), (2.0, 1.5, 0.05)],
+)
+def test_drape_odd_parameters_match_reference(gravity, coupling, tol):
+    mask = np.zeros((40, 24), dtype=bool)
+    mask[31:, :] = True
+    mask[17:, 8:14] = True
+    with np.errstate(all="ignore"):
+        got = body.drape(mask, gravity, coupling, tol, max_iters=60)
+        want = reference_drape(mask, gravity, coupling, tol, max_iters=60)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_drape_stops_free_fall_at_max_iters():
+    # 17 iterations of free fall; cutting the run inside them leaves a level cloth
+    mask = np.zeros((40, 24), dtype=bool)
+    mask[35:, :] = True
+    mask[34:, 5] = True
+    for max_iters in (0, 1, 16, 17, 18):
+        assert body.drape(mask, max_iters=max_iters).tobytes() == reference_drape(mask, max_iters=max_iters).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    n_refs=st.integers(1, 6),
+    constant=st.sampled_from(["none", "profile", "reference"]),
+)
+def test_classify_pose_equals_reference(seed, n, n_refs, constant):
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=n)
+    # references near the profile, so that some correlations pass tau_pose
+    refs = [body.PoseReference(f"r{i}", base + rng.normal(scale=rng.uniform(0, 1), size=n)) for i in range(n_refs)]
+    profile = base + rng.normal(scale=0.1, size=n)
+    if constant == "profile":
+        profile = np.full(n, 0.5)
+    elif constant == "reference":
+        refs[0] = body.PoseReference("flat", np.zeros(n))
+    assert body.classify_pose(profile, refs) == reference_classify_pose(profile, refs)

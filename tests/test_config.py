@@ -1,7 +1,13 @@
 from pathlib import Path
 
+import contextlib
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imime import cli
 from imime.behavior import Routine
@@ -144,6 +150,31 @@ OUT_OF_RANGE = [
     ("p_star", "attending.mimic", "1.5", "p_star.beckon.attending.mimic"),
     ("p_star", "ponder.notattending.beckon", "-0.2", "p_star.ponder.notattending.beckon"),
     ("behavior", "selectable", "", "behavior.selectable"),
+    ("behavior", "t_idle", "-1", "behavior.t_idle"),
+    ("behavior", "t_ponder", "inf", "behavior.t_ponder"),
+    ("behavior", "t_resp", "-5", "behavior.t_resp"),
+    ("behavior", "t_resp", "0", "behavior.t_resp"),
+    ("behavior", "t_feedback", "nan", "behavior.t_feedback"),
+    ("behavior", "t_idle", "1e308", "behavior.t_idle"),  # finite seconds, infinite frames
+    ("behavior", "r_lo", "-0.1", "behavior.r_lo"),
+    ("behavior", "r_lo", "nan", "behavior.r_lo"),
+    ("behavior", "r_hi", "0.01", "behavior.r_hi"),
+    ("behavior", "r_hi", "1.5", "behavior.r_hi"),
+    ("fusion", "k_erratic", "-3", "fusion.k_erratic"),
+    ("fusion", "k_erratic", "0", "fusion.k_erratic"),
+    ("fusion", "tau_jerk", "nan", "fusion.tau_jerk"),
+    ("fusion", "tau_jerk", "0", "fusion.tau_jerk"),
+    ("fusion", "t_recent", "-2", "fusion.t_recent"),
+    ("episode", "seed", "-1", "episode.seed"),
+    ("episode", "frame_rate", "nan", "episode.frame_rate"),
+    ("episode", "frame_rate", "-10", "episode.frame_rate"),
+    ("episode", "decision_period", "inf", "episode.decision_period"),
+    ("episode", "dump_frames", "maybe", "episode.dump_frames"),
+    ("scene", "width", "8", "scene.width"),
+    ("scene", "face_ay", "0", "scene.face_ay"),
+    ("scene", "face_ax", "64", "scene.face_ax"),
+    ("scene", "noise_sigma", "-2", "scene.noise_sigma"),
+    ("scene", "bg_intensity", "nan", "scene.bg_intensity"),
 ]
 
 
@@ -156,6 +187,141 @@ def test_out_of_range_key_exits_2_naming_it(tmp_path, capsys, command, section, 
     captured = capsys.readouterr()
     assert captured.err.startswith(f"config error: {named}:")
     assert captured.out == ""
+
+
+def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
+    # each of these alone was accepted and ran with exit 0; the first is named
+    path = write(tmp_path, "[behavior]\nt_resp = -5\nr_lo = 0.5\nr_hi = 0.1\n[fusion]\nk_erratic = -3\ntau_jerk = nan\n")
+    assert cli.main(["run", "--config", path, "--steps", "200", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("config error: behavior.t_resp:")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[learning]\ngama = 1.0\n", "learning.gama"),
+        ("[episode]\nasync_values = yes\n", "episode.async_values"),
+        ("[scene]\nwidht = 64\n", "scene.widht"),
+        ("[lerning]\ngamma = 0.5\n", "lerning"),
+        ("[Episode]\nsteps = 5\n", "Episode"),
+        ("[DEFAULT]\nsteps = 5\n", "DEFAULT.steps"),
+        ("[episode]\nsteps = 5\nsteps = 6\n", "config"),
+        ("steps = 5\n", "config"),
+    ],
+)
+def test_unknown_or_malformed_entries_exit_2_naming_them(tmp_path, capsys, text, named):
+    path = write(tmp_path, text)
+    assert cli.main(["run", "--config", path, "--steps", "10", "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {named}:")
+
+
+def test_values_are_literal(tmp_path):
+    path = write(tmp_path, "[episode]\nout = runs/100%done\n")
+    assert load_config(path).out_dir == "runs/100%done"
+
+
+def test_session_ini_of_the_benchmark_loads(tmp_path):
+    # the INI layout the benchmark's `sessions` workload writes
+    path = write(
+        tmp_path,
+        f"[episode]\nsteps = 150\nseed = 12345\nout = {tmp_path / 'run'}\n\n"
+        "[behavior]\nt_idle = 3.0\n\n[profile]\nerratic_rate = 0.15\ncompliance = 0.9\n",
+    )
+    cfg = load_config(path)
+    assert (cfg.steps, cfg.seed, cfg.behavior.t_idle, cfg.profile.erratic_rate) == (150, 12345, 3.0, 0.15)
+
+
+def test_behavior_and_fusion_boundaries_accepted(tmp_path):
+    path = write(
+        tmp_path,
+        "[behavior]\nt_idle = 0\nt_ponder = 0\nt_resp = 0.1\nt_feedback = 0\nr_lo = 0\nr_hi = 1\n"
+        "[fusion]\nk_erratic = 1\ntau_jerk = 1e-9\nt_recent = 0\n",
+    )
+    assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
+
+
+# (values in range, values out of range or malformed) per key; one key in
+# ten takes a bad value, and three files in ten end in an unknown key,
+# section or routine. The good values leave value iteration able to
+# converge within `max_sweeps`, so that a NonConvergence (a runtime error,
+# exit 3) is not a possible outcome.
+_SECONDS = (["0", "0.5", "2", "30"], ["-1", "nan", "inf", "1e308", "x", ""])
+_UNIT = (["0", "0.15", "0.9", "1"], ["-0.1", "1.5", "nan", "x"])
+_INI_VALUES = {
+    "episode": {
+        "frame_rate": (["10", "5", "2.5"], ["1e-300", "0", "-10", "nan", "inf"]),
+        "decision_period": (["2", "0.4"], ["0.3", "0", "-2", "inf", "1e300"]),
+        "seed": (["0", "7", "123456789012345678901234567890"], ["-1", "x"]),
+        "dump_frames": (["yes", "no"], ["maybe"]),
+    },
+    "learning": {
+        "epsilon": _UNIT,
+        "gamma": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "x"]),
+        "tol": (["1e-6", "1e-3", "1e-12"], ["0", "-1", "nan"]),
+        "max_sweeps": (["10000"], ["0", "-1", "x"]),
+        "random_policy": (["yes", "no"], ["2"]),
+    },
+    "behavior": {
+        "t_idle": _SECONDS,
+        "t_ponder": _SECONDS,
+        "t_resp": (["0.1", "5"], ["0", "-5", "nan", "1e308"]),
+        "t_feedback": _SECONDS,
+        "r_lo": (["0", "0.02", "0.5"], ["1", "-0.1", "nan"]),
+        "r_hi": (["0.6", "1"], ["0.01", "1.5", "nan"]),
+        "selectable": (["Beckon, Mimic", "Reward, Mimic"], ["", "Nope"]),
+    },
+    "fusion": {
+        "tau_jerk": (["12", "1e-9"], ["0", "-1", "nan", "inf"]),
+        "k_erratic": (["3", "1"], ["0", "-3", "2.5"]),
+        "t_recent": _SECONDS,
+    },
+    "profile": {
+        "routines": (["Beckon, Mimic, Ponder, PromptGesture", "Mimic", "Beckon, Reward", "Mimic, Mimic"], ["", "Nope"]),
+        "erratic_rate": _UNIT,
+        "compliance": _UNIT,
+    },
+    "p_star": {
+        "attending.mimic": _UNIT,
+        "notattending.beckon": _UNIT,
+        "mimic.attending.mimic": _UNIT,
+    },
+    "scene": {
+        "width": (["128", "64", "17"], ["15", "0", "x"]),
+        "height": (["128", "72", "16"], ["-5"]),
+        "bg_intensity": (["60", "200", "300", "-1e9"], ["nan"]),
+        "noise_sigma": (["2", "0", "40"], ["-1", "inf"]),
+        "face_ax": (["7", "1"], ["0", "100"]),
+        "face_ay": (["7", "1"], ["-1", "100"]),
+    },
+}
+
+
+@st.composite
+def _ini_text(draw):
+    mode, steps = draw(st.sampled_from(["labels", "pixels"])), draw(st.sampled_from(["1", "4", "8", "8", "0"]))
+    sections = {"episode": [f"mode = {mode}", f"steps = {steps}"]}
+    for section in draw(st.lists(st.sampled_from(sorted(_INI_VALUES)), unique=True, max_size=4)):
+        for key in draw(st.lists(st.sampled_from(sorted(_INI_VALUES[section])), unique=True, max_size=4)):
+            good, bad = _INI_VALUES[section][key]
+            value = draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    junk = draw(st.sampled_from([""] * 7 + ["gama = 1.0", "[lerning]", "[p_star]\nreward.attending.mimic = 0.5"]))
+    return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items()) + junk
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=_ini_text())
+def test_any_ini_file_runs_or_exits_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episode.ini"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "run")])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("config error: ")
 
 
 def test_range_boundaries_accepted(tmp_path):

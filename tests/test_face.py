@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from imime import face
 from imime.frames import DimensionMismatch, Frame
@@ -417,6 +418,92 @@ def test_symmetry_invariant_under_mirror(seed):
     s1 = face.symmetry_score(frame_from(img), rect)
     s2 = face.symmetry_score(frame_from(img[:, ::-1]), rect)
     assert abs(s1 - s2) < 1e-12
+
+
+def reference_symmetry_score(frame, rect):
+    """`face.symmetry_score` with scipy's median filter."""
+    rect.validate(frame)
+    sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
+    med = ndimage.median_filter(sub, size=3, mode="reflect")
+    return float(np.abs(med - med[:, ::-1]).mean() / 255.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    levels=st.sampled_from([2, 3, 16, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median3x3_equals_scipy_median_filter(h, w, levels, seed):
+    # few levels make many ties; 1-pixel sides exercise the reflected edges
+    img = np.random.default_rng(seed).integers(0, levels, size=(h, w)).astype(np.uint8)
+    want = ndimage.median_filter(img, size=3, mode="reflect")
+    assert np.array_equal(face._median3x3(img), want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 8, 256]))
+def test_symmetry_score_equals_reference(seed, levels):
+    rng = np.random.default_rng(seed)
+    frame = frame_from(rng.integers(0, levels, size=(48, 40)) * (255 // (levels - 1)))
+    x, y = int(rng.integers(0, 26)), int(rng.integers(0, 34))
+    rect = face.FaceRect(x, y, int(rng.integers(14, 41 - x)), int(rng.integers(14, 49 - y)))
+    assert face.symmetry_score(frame, rect) == reference_symmetry_score(frame, rect)
+
+
+# --- BrightnessBlobDetector ----------------------------------------------------------
+
+
+def reference_detect(frame, threshold=130.0):
+    """`BrightnessBlobDetector.detect` labelling the whole frame in float."""
+    mask = frame.pixels.astype(float) >= threshold
+    if not mask.any():
+        return None
+    labeled, n = ndimage.label(mask)
+    if n > 1:
+        sizes = ndimage.sum(mask, labeled, index=range(1, n + 1))
+        mask = labeled == (int(np.argmax(sizes)) + 1)
+    ys, xs = np.nonzero(mask)
+    x0, x1 = int(xs.min()), int(xs.max()) + 1
+    y0, y1 = int(ys.min()), int(ys.max()) + 1
+    while x1 - x0 < face.MIN_FACE_SIDE:
+        if x0 > 0:
+            x0 -= 1
+        elif x1 < frame.width:
+            x1 += 1
+        else:
+            return None
+    while y1 - y0 < face.MIN_FACE_SIDE:
+        if y0 > 0:
+            y0 -= 1
+        elif y1 < frame.height:
+            y1 += 1
+        else:
+            return None
+    return face.FaceRect(x0, y0, x1 - x0, y1 - y0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(16, 48),
+    w=st.integers(16, 48),
+    blobs=st.integers(0, 6),
+    specks=st.sampled_from([0, 3, 1000]),
+    seed=st.integers(0, 2**32 - 1),
+    threshold=st.sampled_from([130.0, 129.5, 0.0, 255.0, 256.0]),
+)
+def test_detect_equals_reference(h, w, blobs, specks, seed, threshold):
+    # bright rectangles, some touching or of equal size, and bright single pixels
+    rng = np.random.default_rng(seed)
+    img = rng.integers(100, 130, size=(h, w))
+    for _ in range(blobs):
+        y, x = rng.integers(0, h), rng.integers(0, w)
+        img[y : y + rng.integers(1, 12), x : x + rng.integers(1, 12)] = rng.integers(130, 256)
+    img[rng.integers(0, h, size=specks), rng.integers(0, w, size=specks)] = 130
+    frame = frame_from(img)
+    got = face.BrightnessBlobDetector(threshold).detect(frame)
+    assert got == reference_detect(frame, threshold)
 
 
 # --- edge_cog_offset ---------------------------------------------------------------

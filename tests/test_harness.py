@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import cli, harness, viewer
+from imime import cli, face, harness, viewer
 from imime.behavior import Routine
 from imime.config import load_config
 from imime.learning import Learner, PolicyConfig, StateId, TransitionModel, update_values
@@ -107,6 +108,64 @@ def test_label_and_pixel_modes_agree_without_vision_noise():
     att_l = [r["attending"] for r in log_l.rows]
     att_p = [r["attending"] for r in log_p.rows]
     assert att_l == att_p
+
+
+# SHA-256 over episode.csv, transitions.csv, learning.csv and metrics.csv of
+# short pixel episodes, recorded before the pixel path was optimised; the
+# 64x72 scene clips the face box at the frame edge.
+SMALL_SCENE = "[scene]\nwidth = 64\nheight = 72\n"
+PIXEL_EPISODE_DIGESTS = [
+    (3, 0.0, "", "4701ee7b4ffde3315b63d2f5c7b265204818c1b81b5cbf256ded9d6c781344af"),
+    (3, 0.15, "", "b57c92c843cb046571805e6cff741e56e45782a5334c667ce472ec7376bb710f"),
+    (11, 0.0, "", "f109063a8aa4b777fb128d6f6b160e5c04eedb24312e5411d66674248e8c1d2b"),
+    (11, 0.15, "", "d073c256a6e10cdfea36a18f6cf9b805c1aef5d9b730fccba3412816d4a39a69"),
+    (5, 0.15, SMALL_SCENE, "660940230acebded3061351a3dc586f3d1f7e24c4282af12da674a46c2becd20"),
+]
+
+
+def run_pixel_episode(tmp_path, seed, erratic_rate, scene=""):
+    """An 80-frame pixel episode through `imime run`: 5 frames per decision,
+    with the game prompting after 1 s so that gestures are drawn."""
+    out = tmp_path / f"pixels_{seed}_{erratic_rate}"
+    ini = tmp_path / f"pixels_{seed}_{erratic_rate}.ini"
+    ini.write_text(
+        f"[episode]\nmode = pixels\nsteps = 80\ndecision_period = 0.5\nseed = {seed}\nout = {out}\n"
+        f"[behavior]\nt_idle = 1\nt_ponder = 0.5\n[profile]\nerratic_rate = {erratic_rate}\n" + scene
+    )
+    return cli.main(["run", "--config", str(ini)]), out
+
+
+@pytest.mark.parametrize("seed, erratic_rate, scene, digest", PIXEL_EPISODE_DIGESTS)
+def test_pixel_episode_files_unchanged(tmp_path, capsys, seed, erratic_rate, scene, digest):
+    code, out = run_pixel_episode(tmp_path, seed, erratic_rate, scene)
+    assert code == 0, capsys.readouterr().err
+    h = hashlib.sha256()
+    for name in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv"):
+        h.update((out / name).read_bytes())
+    assert h.hexdigest() == digest
+
+
+def test_flow_value_errors_propagate(monkeypatch):
+    def broken_flow(prev, cur, rect):
+        raise ValueError("flow failed")
+
+    monkeypatch.setattr(face, "flow_features", broken_flow)
+    cfg = load_config(None, {"mode": "pixels", "steps": 5, "seed": 3})
+    with pytest.raises(ValueError, match="flow failed"):
+        harness.run_episode(cfg)
+
+
+def test_face_too_small_for_regions_gives_no_flow_cues(monkeypatch):
+    calls = []
+
+    def small_face(prev, cur, rect):
+        calls.append(rect)
+        raise face.RectTooSmall("region degenerates")
+
+    monkeypatch.setattr(face, "flow_features", small_face)
+    cfg = load_config(None, {"mode": "pixels", "steps": 5, "seed": 3})
+    log, _ = harness.run_episode(cfg)
+    assert len(log.rows) == 5 and len(calls) == 4  # every frame after the first
 
 
 # --- oracle ---------------------------------------------------------------------------

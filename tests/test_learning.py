@@ -351,24 +351,3 @@ def test_learner_random_policy_is_uniform():
         counts[a] += 1
     for r in R4:
         assert abs(counts[r] / 40_000 - 0.25) < 0.01
-
-
-def test_learner_csv_roundtrip(tmp_path):
-    lr = Learner(R4)
-    rng = np.random.default_rng(19)
-    s = StateId(Routine.Beckon, False)
-    for _ in range(30):
-        a, _ = lr.choose(s, rng)
-        lr.commit(s, a)
-        attending = bool(rng.random() < 0.5)
-        lr.observe(att_state(attending))
-        s = StateId(a, attending)
-    path = tmp_path / "learner.csv"
-    lr.dump_csv(path)
-    fresh = Learner(R4)
-    fresh.load_csv(path)
-    assert np.array_equal(fresh.table.k, lr.table.k)
-    assert np.array_equal(fresh.table.m, lr.table.m)
-    # both tables sit within tol/(1-gamma) of the same fixed point
-    slack = 2 * lr.cfg.tol / (1.0 - lr.cfg.gamma)
-    assert np.abs(fresh.q.q - lr.q.q).max() < slack
