@@ -4,51 +4,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-INTEREST_LEVELS = ("Passive", "Interested", "Engaged")
-
 
 @dataclass(frozen=True)
 class AttentionState:
     face_present: bool
     attending: bool
-    interest: str  # Passive | Interested | Engaged
     erratic: bool
     gesture: str | None  # pose label
-    expression: str  # label or Neutral
 
     def __post_init__(self):
         if self.attending and not self.face_present:
             raise ValueError("attending requires a visible face")
-        if self.interest == "Engaged" and self.gesture is None:
-            raise ValueError("Engaged requires a gesture")
-        if self.interest == "Interested" and not self.attending:
-            raise ValueError("Interested requires attending")
 
 
 @dataclass
 class FusionConfig:
     tau_jerk: float = 12.0  # 4th-difference units
     k_erratic: int = 3  # consecutive frames above tau_jerk
-    t_recent: float = 2.0  # seconds an expression counts as recent
 
 
 @dataclass
 class AttentionEvaluator:
-    """Stateful fusion: owns the expression-recency buffer and the
-    consecutive-jerk counter. Single-threaded per interaction loop."""
+    """Stateful fusion: owns the consecutive-jerk counter. Single-threaded
+    per interaction loop."""
 
     cfg: FusionConfig = field(default_factory=FusionConfig)
-    _last_expression_at: float = field(default=float("-inf"), init=False)
     _jerk_streak: int = field(default=0, init=False)
 
     def evaluate(
         self,
         orientation_label: str | None,  # None = no face this tick
-        expression: str,
-        motion: str,
         jerk: float,
         gesture: str | None,
-        now: float,
     ) -> AttentionState:
         face_present = orientation_label is not None
         attending = face_present and orientation_label == "Frontal"
@@ -59,22 +46,10 @@ class AttentionEvaluator:
             self._jerk_streak = 0
         erratic = self._jerk_streak >= self.cfg.k_erratic
 
-        if expression != "Neutral":
-            self._last_expression_at = now
-
         gesture_seen = gesture is not None and gesture != "Unknown" and gesture != "ArmsDown"
-        if attending and gesture_seen:
-            interest = "Engaged"
-        elif attending and now - self._last_expression_at <= self.cfg.t_recent:
-            interest = "Interested"
-        else:
-            interest = "Passive"
-
         return AttentionState(
             face_present=face_present,
             attending=attending,
-            interest=interest,
             erratic=erratic,
             gesture=gesture if gesture_seen else None,
-            expression=expression,
         )

@@ -30,9 +30,6 @@ class Routine(enum.Enum):
     Puzzled = "Puzzled"
 
 
-REFLEX_ONLY = (Routine.Reward, Routine.Scold, Routine.DistanceGuide)
-DEFAULT_SELECTABLE = tuple(r for r in Routine if r not in REFLEX_ONLY)
-
 GESTURES = ("LeftArmRaised", "RightArmRaised", "BothArmsRaised", "Wave")
 
 
@@ -45,7 +42,6 @@ class BehaviorConfig:
     t_feedback: float = 2.0  # Reward/Scold duration
     r_lo: float = 0.02  # face area / frame area bounds (distance proxy)
     r_hi: float = 0.30
-    selectable: tuple = DEFAULT_SELECTABLE
 
     def ticks(self, seconds: float) -> int:
         return max(1, int(round(seconds * self.frame_rate)))
@@ -71,10 +67,9 @@ class BehaviorState:
 
 
 class BehaviorEngine:
-    def __init__(self, cfg: BehaviorConfig | None = None, initial: Routine | None = None):
+    def __init__(self, cfg: BehaviorConfig | None = None, initial: Routine = Routine.IdleGazeWander):
         self.cfg = cfg or BehaviorConfig()
-        start = initial if initial is not None else self.cfg.selectable[0]
-        self.state = BehaviorState(current=start, policy_routine=start)
+        self.state = BehaviorState(current=initial, policy_routine=initial)
 
     # --- reflex layer -----------------------------------------------------
 

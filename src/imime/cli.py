@@ -11,7 +11,7 @@ import csv
 import os
 import sys
 
-from . import body, face, harness, viewer
+from . import face, harness
 from .config import ConfigError, load_config
 from .frames import read_pgm
 
@@ -57,12 +57,12 @@ def _cmd_analyze(args) -> int:
     out_path = args.out or os.path.join(args.frames, "analysis.csv")
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion"])
+        writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion", "expression"])
         for name in names:
             frame = read_pgm(os.path.join(args.frames, name))
             rect = detector.detect(frame)
             if rect is None:
-                writer.writerow([name, 0, "", "", "NoFace", "", ""])
+                writer.writerow([name, 0, "", "", "NoFace", "", "", ""])
                 prev_frame = frame
                 continue
             s = face.symmetry_score(frame, rect)
@@ -72,11 +72,12 @@ def _cmd_analyze(args) -> int:
             cx, cy = rect.center
             track.push(cx, cy)
             jerk = face.estimate_jerk(track) if len(track) >= 5 else 0.0
-            motion = ""
+            motion = expression = ""
             if prev_frame is not None and prev_frame.same_size(frame):
                 cf, whole = face.flow_features(prev_frame, frame, rect)
                 motion = face.classify_motion(whole, cf)
-            writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", est.label, f"{jerk:.4f}", motion])
+                expression = face.classify_expression(cf, face.EXPRESSION_REFS)
+            writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", est.label, f"{jerk:.4f}", motion, expression])
             prev_frame = frame
     print(f"wrote {out_path}")
     return 0

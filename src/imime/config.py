@@ -65,6 +65,17 @@ class EpisodeConfig:
             raise ConfigError("learning.tol", f"tol must be > 0 (got {learning.tol})")
         if learning.max_sweeps < 1:
             raise ConfigError("learning.max_sweeps", f"max_sweeps must be >= 1 (got {learning.max_sweeps})")
+        # Q values lie in [0, 1/(1 - gamma)], so a warm start's first residual
+        # is at most 1/(1 - gamma) + gamma * tol, and each sweep shrinks it by
+        # gamma: gamma**(max_sweeps - 1) * (1/(1 - gamma) + gamma * tol) must
+        # be below tol, tested in an equivalent form defined for tol = inf
+        # (past 2**64 sweeps the float power is 0 for every gamma < 1)
+        g, k = learning.gamma, min(learning.max_sweeps, 2**64)
+        if not g ** (k - 1) / (1.0 - g) < learning.tol * (1.0 - g**k):
+            raise ConfigError(
+                "learning.gamma",
+                f"value iteration may not converge to tol {learning.tol} within max_sweeps {k} (got gamma {g})",
+            )
         for key, value in (
             ("learning.epsilon", learning.epsilon),
             ("profile.compliance", profile.compliance),
@@ -83,8 +94,6 @@ class EpisodeConfig:
             )
         if not profile.routines:
             raise ConfigError("profile.routines", "no routines")
-        if not self.behavior.selectable:
-            raise ConfigError("behavior.selectable", "no selectable routines")
         self._validate_behavior_and_fusion()
         self.behavior.frame_rate = self.frame_rate
         return self
@@ -97,7 +106,6 @@ class EpisodeConfig:
             ("behavior.t_ponder", behavior.t_ponder, False),
             ("behavior.t_resp", behavior.t_resp, True),
             ("behavior.t_feedback", behavior.t_feedback, False),
-            ("fusion.t_recent", fusion.t_recent, False),
         ):
             if not ((value > 0.0 if positive else value >= 0.0) and math.isfinite(value * self.frame_rate)):
                 bound = "> 0" if positive else ">= 0"
@@ -116,8 +124,8 @@ class EpisodeConfig:
 SECTION_KEYS = {
     "episode": ("mode", "steps", "frame_rate", "decision_period", "seed", "out", "dump_frames"),
     "learning": ("epsilon", "gamma", "tol", "max_sweeps", "random_policy"),
-    "behavior": ("t_idle", "t_ponder", "t_resp", "t_feedback", "r_lo", "r_hi", "selectable"),
-    "fusion": ("tau_jerk", "k_erratic", "t_recent"),
+    "behavior": ("t_idle", "t_ponder", "t_resp", "t_feedback", "r_lo", "r_hi"),
+    "fusion": ("tau_jerk", "k_erratic"),
     "profile": ("routines", "erratic_rate", "compliance"),
     "p_star": None,
     "scene": ("width", "height", "bg_intensity", "noise_sigma", "face_ax", "face_ay"),
@@ -138,9 +146,14 @@ def _check_keys(parser) -> None:
 def _parse_routines(text: str, key: str) -> tuple[Routine, ...]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     try:
-        return tuple(Routine(n) for n in names)
+        routines = tuple(Routine(n) for n in names)
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
+    # a routine listed twice would be two states and actions with one name
+    for i, r in enumerate(routines):
+        if r in routines[:i]:
+            raise ConfigError(key, f"routine {r.value} listed twice")
+    return routines
 
 
 def _get(parser, section, key, cast, default):
@@ -229,9 +242,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
         max_sweeps=_get(parser, "learning", "max_sweeps", int, 10_000),
         random_policy=_get(parser, "learning", "random_policy", bool, False),
     )
-    selectable = cfg.behavior.selectable
-    if parser.has_option("behavior", "selectable"):
-        selectable = _parse_routines(parser.get("behavior", "selectable"), "behavior.selectable")
     cfg.behavior = BehaviorConfig(
         frame_rate=cfg.frame_rate,
         t_idle=_get(parser, "behavior", "t_idle", float, 10.0),
@@ -240,12 +250,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
         t_feedback=_get(parser, "behavior", "t_feedback", float, 2.0),
         r_lo=_get(parser, "behavior", "r_lo", float, 0.02),
         r_hi=_get(parser, "behavior", "r_hi", float, 0.30),
-        selectable=selectable,
     )
     cfg.fusion = FusionConfig(
         tau_jerk=_get(parser, "fusion", "tau_jerk", float, 12.0),
         k_erratic=_get(parser, "fusion", "k_erratic", int, 3),
-        t_recent=_get(parser, "fusion", "t_recent", float, 2.0),
     )
     cfg.profile = _load_profile(parser)
     try:

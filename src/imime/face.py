@@ -1,5 +1,7 @@
-"""Facial analysis: region optical flow, expression and motion classes,
-head orientation from symmetry + edge cues, and the jerk operator."""
+"""Facial analysis: face detection, head orientation from symmetry + edge
+cues and the jerk operator, which the closed loop uses every frame; and
+region optical flow with expression and motion classes, which only
+`imime analyze` computes, over stored frames."""
 
 from __future__ import annotations
 
@@ -35,6 +37,13 @@ BLOCK_SIZE = 8
 SEARCH_RADIUS = 7
 
 MIN_FACE_SIDE = 14
+
+# canonical expression references for the 14-dim characteristic flow:
+# smile = outward+up mouth flow with cheek lift, frown = downward mouth/brow
+EXPRESSION_REFS = [
+    ("Smile", np.array([0, 0, 0, 0, 0, -0.5, 0, -0.5, 0, 0, 0, 0, 0, -2.0])),
+    ("Frown", np.array([0, 0.5, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2.0])),
+]
 
 
 class RectTooSmall(ValueError):

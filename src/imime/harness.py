@@ -22,18 +22,11 @@ import numpy as np
 from . import body, face, viewer
 from .attention import AttentionEvaluator, AttentionState
 from .behavior import BehaviorEngine, Routine
-from .config import ConfigError, EpisodeConfig
+from .config import EpisodeConfig
 from .frames import write_pgm
 from .learning import Learner, StateId
 
 BACKGROUND_TRAINING_FRAMES = 10
-
-# canonical expression references for the 14-dim characteristic flow:
-# smile = outward+up mouth flow with cheek lift, frown = downward mouth/brow
-DEFAULT_EXPRESSION_REFS = [
-    ("Smile", np.array([0, 0, 0, 0, 0, -0.5, 0, -0.5, 0, 0, 0, 0, 0, -2.0])),
-    ("Frown", np.array([0, 0.5, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2.0])),
-]
 
 
 @dataclass
@@ -48,26 +41,17 @@ class EpisodeLog:
         return [r for r in self.rows if r["decision"]]
 
 
-def _label_mode_attention(vstate: viewer.ViewerState, evaluator: AttentionEvaluator, now: float, jerk: float) -> AttentionState:
+def _label_mode_attention(vstate: viewer.ViewerState, evaluator: AttentionEvaluator, jerk: float) -> AttentionState:
     orientation = "Frontal" if abs(vstate.yaw) < viewer.FRONTAL_YAW else ("Right" if vstate.yaw > 0 else "Left")
-    return evaluator.evaluate(
-        orientation_label=orientation,
-        expression="Neutral",
-        motion="Still",
-        jerk=jerk,
-        gesture=vstate.gesture,
-        now=now,
-    )
+    return evaluator.evaluate(orientation_label=orientation, jerk=jerk, gesture=vstate.gesture)
 
 
 class PixelPipeline:
     """Full vision stack over synthesized frames."""
 
     def __init__(self, cfg: EpisodeConfig, noise_rng: np.random.Generator):
-        self.cfg = cfg
         self.detector = face.BrightnessBlobDetector()
         self.track = face.HeadTrack()
-        self.prev_face_frame = None
         self.prev_orientation = "Frontal"
         bg_frames = [
             viewer.synthesize_body_frame(None, cfg.scene, noise_rng)[0]
@@ -76,12 +60,10 @@ class PixelPipeline:
         self.background = body.train_background(bg_frames)
         self.pose_refs = viewer.build_pose_references(cfg.scene)
 
-    def process(self, face_frame, body_frame, evaluator: AttentionEvaluator, now: float):
+    def process(self, face_frame, body_frame, evaluator: AttentionEvaluator):
         rect = self.detector.detect(face_frame)
         orientation_label = None
         jerk = 0.0
-        expression = "Neutral"
-        motion = "Still"
         ratio = 0.0
         if rect is not None:
             s = face.symmetry_score(face_frame, rect)
@@ -93,15 +75,7 @@ class PixelPipeline:
             self.track.push(cx, cy)
             if len(self.track) >= 5:
                 jerk = face.estimate_jerk(self.track)
-            if self.prev_face_frame is not None:
-                try:
-                    cf, whole = face.flow_features(self.prev_face_frame, face_frame, rect)
-                    expression = face.classify_expression(cf, DEFAULT_EXPRESSION_REFS)
-                    motion = face.classify_motion(whole, cf)
-                except face.RectTooSmall:  # a face too small to split into regions has no flow cues
-                    pass
             ratio = rect.w * rect.h / (face_frame.width * face_frame.height)
-        self.prev_face_frame = face_frame
 
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
@@ -111,14 +85,7 @@ class PixelPipeline:
             if pose not in ("Unknown", "ArmsDown"):
                 gesture = pose
 
-        attention = evaluator.evaluate(
-            orientation_label=orientation_label,
-            expression=expression,
-            motion=motion,
-            jerk=jerk,
-            gesture=gesture,
-            now=now,
-        )
+        attention = evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
         return attention, ratio, jerk, orientation_label
 
 
@@ -134,7 +101,6 @@ def run_episode(cfg: EpisodeConfig):
     profile = cfg.profile
     learner = Learner(profile.routines, cfg.learning)
     engine = BehaviorEngine(cfg.behavior, initial=profile.routines[0])
-    engine.state.policy_routine = profile.routines[0]
     evaluator = AttentionEvaluator(cfg.fusion)
     vstate = viewer.ViewerState()
     pipeline = PixelPipeline(cfg, rng_noise) if cfg.mode == "pixels" else None
@@ -151,7 +117,6 @@ def run_episode(cfg: EpisodeConfig):
 
     for tick in range(cfg.steps):
         decision = tick % fpd == 0
-        now = tick / cfg.frame_rate
 
         # 1. viewer stream
         if decision and committed is not None:
@@ -167,7 +132,7 @@ def run_episode(cfg: EpisodeConfig):
             if len(label_jerk_window) == 5:
                 (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = label_jerk_window
                 jerk = float(np.hypot(x4 - 4 * x3 + 6 * x2 - 4 * x1 + x0, y4 - 4 * y3 + 6 * y2 - 4 * y1 + y0))
-            attention = _label_mode_attention(vstate, evaluator, now, jerk)
+            attention = _label_mode_attention(vstate, evaluator, jerk)
             orientation_label = "Frontal" if attention.attending else ("Right" if vstate.yaw > 0 else "Left")
             ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
         else:
@@ -176,7 +141,7 @@ def run_episode(cfg: EpisodeConfig):
             if frames_dir is not None:
                 write_pgm(face_frame, os.path.join(frames_dir, f"face_{tick:06d}.pgm"))
                 write_pgm(body_frame, os.path.join(frames_dir, f"body_{tick:06d}.pgm"))
-            attention, ratio, jerk, orientation_label = pipeline.process(face_frame, body_frame, evaluator, now)
+            attention, ratio, jerk, orientation_label = pipeline.process(face_frame, body_frame, evaluator)
 
         # 3. learning at the decision tick: attribute reward, refresh model/values
         state_now = StateId(engine.state.policy_routine, attention.attending)

@@ -2,7 +2,7 @@
 estimates, Q-form value iteration over the induced MDP, and the
 epsilon-greedy action policy.
 
-States are (routine, attending) pairs over the selectable routine set; the
+States are (routine, attending) pairs over the profile's routine set; the
 successor routine is deterministically the chosen action, and the attending
 bit of the successor is the (binary) reward.
 """
@@ -44,17 +44,12 @@ class StateId:
     attending: bool
 
 
-def compute_reward(attention: AttentionState) -> int:
-    """1 when the viewer attends, else 0."""
-    return 1 if attention.attending else 0
-
-
 class OutcomeTable:
     """Per (state, action) binomial counts: k attended-after, m did not."""
 
     def __init__(self, routines: tuple[Routine, ...]):
         if not routines:
-            raise EmptyActionSet("no selectable routines")
+            raise EmptyActionSet("no routines")
         self.routines = tuple(routines)
         self.index = {r: i for i, r in enumerate(self.routines)}
         n = len(self.routines)

@@ -54,7 +54,7 @@ class ViewerProfile:
 
 
 def default_profile() -> ViewerProfile:
-    """Shipped desk-scale profile: 4 selectable routines, 8 states, with a
+    """Shipped desk-scale profile: 4 routines to choose among, 8 states, with a
     unique optimal action per state (Mimic while attending, Beckon while not)."""
     routines = (Routine.Beckon, Routine.Mimic, Routine.Ponder, Routine.PromptGesture)
     n = len(routines)

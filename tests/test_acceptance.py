@@ -384,20 +384,20 @@ def test_criterion_10_loop_integrity():
         return e, t, prompted
 
     e, t, prompted = fresh()
-    results["correct/before"] = e.simon_step(att(face=True, attending=True, gesture=prompted, interest="Engaged"), t + 2, CoinStub())
+    results["correct/before"] = e.simon_step(att(face=True, attending=True, gesture=prompted), t + 2, CoinStub())
     e, t, prompted = fresh()
     wrong = next(g for g in GESTURES if g != prompted)
-    results["wrong/before"] = e.simon_step(att(face=True, attending=True, gesture=wrong, interest="Engaged"), t + 2, CoinStub())
+    results["wrong/before"] = e.simon_step(att(face=True, attending=True, gesture=wrong), t + 2, CoinStub())
     e, t, prompted = fresh()
     results["timeout"] = e.simon_step(att(face=True), e.state.game.deadline_tick, CoinStub())
     e, t, prompted = fresh()
     deadline = e.state.game.deadline_tick
     e.simon_step(att(face=True), deadline, CoinStub())  # game ends with Scold
-    results["correct/after"] = e.simon_step(att(face=True, attending=True, gesture=prompted, interest="Engaged"), deadline + 50, CoinStub())
+    results["correct/after"] = e.simon_step(att(face=True, attending=True, gesture=prompted), deadline + 50, CoinStub())
     e, t, prompted = fresh()
     deadline = e.state.game.deadline_tick
     e.simon_step(att(face=True), deadline, CoinStub())
-    results["wrong/after"] = e.simon_step(att(face=True, attending=True, gesture=wrong, interest="Engaged"), deadline + 50, CoinStub())
+    results["wrong/after"] = e.simon_step(att(face=True, attending=True, gesture=wrong), deadline + 50, CoinStub())
 
     table_ok = (
         results["correct/before"] == Routine.Reward

@@ -8,81 +8,57 @@ def evaluator():
 
 
 def test_no_face_is_passive():
-    st = evaluator().evaluate(None, "Neutral", "Still", 0.0, None, now=0.0)
+    st = evaluator().evaluate(None, 0.0, None)
     assert not st.face_present and not st.attending
-    assert st.interest == "Passive"
 
 
 def test_frontal_quiet_is_passive():
-    st = evaluator().evaluate("Frontal", "Neutral", "Still", 0.0, None, now=0.0)
+    st = evaluator().evaluate("Frontal", 0.0, None)
     assert st.face_present and st.attending
-    assert st.interest == "Passive"
+    assert st.gesture is None
 
 
 def test_turned_face_not_attending():
-    st = evaluator().evaluate("Left", "Neutral", "Still", 0.0, None, now=0.0)
+    st = evaluator().evaluate("Left", 0.0, None)
     assert st.face_present and not st.attending
-    assert st.interest == "Passive"
 
 
 def test_frontal_with_gesture_is_engaged():
-    st = evaluator().evaluate("Frontal", "Neutral", "Still", 0.0, "Wave", now=0.0)
-    assert st.interest == "Engaged" and st.gesture == "Wave"
+    st = evaluator().evaluate("Frontal", 0.0, "Wave")
+    assert st.attending and st.gesture == "Wave"
 
 
 def test_arms_down_is_not_a_gesture():
-    st = evaluator().evaluate("Frontal", "Neutral", "Still", 0.0, "ArmsDown", now=0.0)
-    assert st.gesture is None and st.interest == "Passive"
+    st = evaluator().evaluate("Frontal", 0.0, "ArmsDown")
+    assert st.gesture is None
 
 
 def test_unknown_pose_is_not_a_gesture():
-    st = evaluator().evaluate("Frontal", "Neutral", "Still", 0.0, "Unknown", now=0.0)
-    assert st.gesture is None and st.interest == "Passive"
+    st = evaluator().evaluate("Frontal", 0.0, "Unknown")
+    assert st.gesture is None
 
 
 def test_gesture_without_attending_is_passive():
-    st = evaluator().evaluate("Right", "Neutral", "Still", 0.0, "Wave", now=0.0)
-    assert st.interest == "Passive" and st.gesture == "Wave"
-
-
-def test_recent_expression_makes_interested():
-    ev = evaluator()
-    st = ev.evaluate("Frontal", "Smile", "NonRigid", 0.0, None, now=5.0)
-    assert st.interest == "Interested"
-    # still recent 1.5 s later
-    st = ev.evaluate("Frontal", "Neutral", "Still", 0.0, None, now=6.5)
-    assert st.interest == "Interested"
-    # expired after t_recent
-    st = ev.evaluate("Frontal", "Neutral", "Still", 0.0, None, now=7.5)
-    assert st.interest == "Passive"
-
-
-def test_engaged_outranks_interested():
-    ev = evaluator()
-    st = ev.evaluate("Frontal", "Smile", "Still", 0.0, "BothArmsRaised", now=0.0)
-    assert st.interest == "Engaged"
+    st = evaluator().evaluate("Right", 0.0, "Wave")
+    assert not st.attending and st.gesture == "Wave"
 
 
 def test_erratic_needs_consecutive_frames():
     ev = AttentionEvaluator(FusionConfig(tau_jerk=12.0, k_erratic=3))
-    assert not ev.evaluate("Frontal", "Neutral", "Still", 20.0, None, 0.0).erratic
-    assert not ev.evaluate("Frontal", "Neutral", "Still", 20.0, None, 0.1).erratic
-    assert ev.evaluate("Frontal", "Neutral", "Still", 20.0, None, 0.2).erratic
+    assert not ev.evaluate("Frontal", 20.0, None).erratic
+    assert not ev.evaluate("Frontal", 20.0, None).erratic
+    assert ev.evaluate("Frontal", 20.0, None).erratic
     # streak resets on a quiet frame
-    assert not ev.evaluate("Frontal", "Neutral", "Still", 1.0, None, 0.3).erratic
-    assert not ev.evaluate("Frontal", "Neutral", "Still", 20.0, None, 0.4).erratic
+    assert not ev.evaluate("Frontal", 1.0, None).erratic
+    assert not ev.evaluate("Frontal", 20.0, None).erratic
 
 
 def test_jerk_at_threshold_does_not_count():
     ev = AttentionEvaluator(FusionConfig(tau_jerk=12.0, k_erratic=1))
-    assert not ev.evaluate("Frontal", "Neutral", "Still", 12.0, None, 0.0).erratic
-    assert ev.evaluate("Frontal", "Neutral", "Still", 12.001, None, 0.1).erratic
+    assert not ev.evaluate("Frontal", 12.0, None).erratic
+    assert ev.evaluate("Frontal", 12.001, None).erratic
 
 
 def test_state_invariants_enforced():
     with pytest.raises(ValueError):
-        AttentionState(face_present=False, attending=True, interest="Passive", erratic=False, gesture=None, expression="Neutral")
-    with pytest.raises(ValueError):
-        AttentionState(face_present=True, attending=True, interest="Engaged", erratic=False, gesture=None, expression="Neutral")
-    with pytest.raises(ValueError):
-        AttentionState(face_present=True, attending=False, interest="Interested", erratic=False, gesture=None, expression="Neutral")
+        AttentionState(face_present=False, attending=True, erratic=False, gesture=None)

@@ -5,14 +5,12 @@ from imime.attention import AttentionState
 from imime.behavior import GESTURES, BehaviorConfig, BehaviorEngine, Routine
 
 
-def att(face=True, attending=False, gesture=None, erratic=False, interest="Passive"):
+def att(face=True, attending=False, gesture=None, erratic=False):
     return AttentionState(
         face_present=face,
         attending=attending,
-        interest=interest,
         erratic=erratic,
         gesture=gesture,
-        expression="Neutral",
     )
 
 
@@ -130,7 +128,7 @@ def test_game_prompts_after_idle_timeout():
 def test_correct_gesture_before_deadline_rewards():
     e = engine()
     t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
-    out = e.simon_step(att(face=True, attending=True, gesture=prompted, interest="Engaged"), t + 3, CoinStub())
+    out = e.simon_step(att(face=True, attending=True, gesture=prompted), t + 3, CoinStub())
     assert out == Routine.Reward
     assert e.state.game.phase == "Idle"
     assert e.state.override_until == t + 3 + e.cfg.ticks(e.cfg.t_feedback)
@@ -140,7 +138,7 @@ def test_wrong_gesture_scolds():
     e = engine()
     t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
     wrong = next(g for g in GESTURES if g != prompted)
-    out = e.simon_step(att(face=True, attending=True, gesture=wrong, interest="Engaged"), t + 3, CoinStub())
+    out = e.simon_step(att(face=True, attending=True, gesture=wrong), t + 3, CoinStub())
     assert out == Routine.Scold
 
 
@@ -159,7 +157,7 @@ def test_correct_gesture_after_deadline_does_not_reward():
     t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
     deadline = e.state.game.deadline_tick
     assert e.simon_step(att(face=True), deadline, CoinStub()) == Routine.Scold
-    out = e.simon_step(att(face=True, attending=True, gesture=prompted, interest="Engaged"), deadline + 100, CoinStub())
+    out = e.simon_step(att(face=True, attending=True, gesture=prompted), deadline + 100, CoinStub())
     assert out != Routine.Reward
 
 
@@ -170,7 +168,7 @@ def test_feedback_override_holds_the_stage():
     e = engine(t_feedback=2.0, frame_rate=10.0)
     t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
     e.state.face_was_present = True
-    routine, cause = e.frame_step(att(face=True, attending=True, gesture=prompted, interest="Engaged"), 0.1, t + 1, CoinStub())
+    routine, cause = e.frame_step(att(face=True, attending=True, gesture=prompted), 0.1, t + 1, CoinStub())
     assert routine == Routine.Reward and cause == "game"
     # reflex (new face would normally beckon) cannot interrupt the hold
     e.state.face_was_present = False

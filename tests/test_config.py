@@ -89,14 +89,8 @@ noise_sigma = 0
     assert cfg.scene.width == 96 and cfg.scene.noise_sigma == 0.0
 
 
-def test_selectable_routines_parsed(tmp_path):
-    path = write(tmp_path, "[behavior]\nselectable = Beckon, Mimic\n")
-    cfg = load_config(path)
-    assert cfg.behavior.selectable == (Routine.Beckon, Routine.Mimic)
-
-
 def test_bad_routine_name(tmp_path):
-    path = write(tmp_path, "[behavior]\nselectable = Beckon, Moonwalk\n")
+    path = write(tmp_path, "[profile]\nroutines = Beckon, Moonwalk\n")
     with pytest.raises(ConfigError):
         load_config(path)
 
@@ -137,6 +131,7 @@ OUT_OF_RANGE = [
     ("learning", "gamma", "1.0", "learning.gamma"),
     ("learning", "gamma", "-0.5", "learning.gamma"),
     ("learning", "gamma", "nan", "learning.gamma"),
+    ("learning", "gamma", "0.999", "learning.gamma"),  # cannot converge within the default tol and max_sweeps
     ("learning", "tol", "0", "learning.tol"),
     ("learning", "tol", "-1e-6", "learning.tol"),
     ("learning", "max_sweeps", "0", "learning.max_sweeps"),
@@ -147,6 +142,7 @@ OUT_OF_RANGE = [
     ("profile", "erratic_rate", "-0.1", "profile.erratic_rate"),
     ("profile", "erratic_rate", "1.5", "profile.erratic_rate"),
     ("profile", "routines", "", "profile.routines"),
+    ("profile", "routines", "Mimic, Mimic", "profile.routines"),
     ("p_star", "attending.mimic", "1.5", "p_star.beckon.attending.mimic"),
     ("p_star", "ponder.notattending.beckon", "-0.2", "p_star.ponder.notattending.beckon"),
     ("behavior", "selectable", "", "behavior.selectable"),
@@ -202,6 +198,8 @@ def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
     [
         ("[learning]\ngama = 1.0\n", "learning.gama"),
         ("[episode]\nasync_values = yes\n", "episode.async_values"),
+        ("[fusion]\nt_recent = 0\n", "fusion.t_recent"),
+        ("[behavior]\nselectable = Reward\n", "behavior.selectable"),
         ("[scene]\nwidht = 64\n", "scene.widht"),
         ("[lerning]\ngamma = 0.5\n", "lerning"),
         ("[Episode]\nsteps = 5\n", "Episode"),
@@ -236,16 +234,16 @@ def test_behavior_and_fusion_boundaries_accepted(tmp_path):
     path = write(
         tmp_path,
         "[behavior]\nt_idle = 0\nt_ponder = 0\nt_resp = 0.1\nt_feedback = 0\nr_lo = 0\nr_hi = 1\n"
-        "[fusion]\nk_erratic = 1\ntau_jerk = 1e-9\nt_recent = 0\n",
+        "[fusion]\nk_erratic = 1\ntau_jerk = 1e-9\n",
     )
     assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
 
 
 # (values in range, values out of range or malformed) per key; one key in
 # ten takes a bad value, and three files in ten end in an unknown key,
-# section or routine. The good values leave value iteration able to
-# converge within `max_sweeps`, so that a NonConvergence (a runtime error,
-# exit 3) is not a possible outcome.
+# section or routine. `validate` rejects a gamma that value iteration
+# might not converge for within `max_sweeps`, so a NonConvergence (a
+# runtime error, exit 3) is not a possible outcome.
 _SECONDS = (["0", "0.5", "2", "30"], ["-1", "nan", "inf", "1e308", "x", ""])
 _UNIT = (["0", "0.15", "0.9", "1"], ["-0.1", "1.5", "nan", "x"])
 _INI_VALUES = {
@@ -257,7 +255,7 @@ _INI_VALUES = {
     },
     "learning": {
         "epsilon": _UNIT,
-        "gamma": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "x"]),
+        "gamma": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "x", "0.999"]),
         "tol": (["1e-6", "1e-3", "1e-12"], ["0", "-1", "nan"]),
         "max_sweeps": (["10000"], ["0", "-1", "x"]),
         "random_policy": (["yes", "no"], ["2"]),
@@ -269,15 +267,13 @@ _INI_VALUES = {
         "t_feedback": _SECONDS,
         "r_lo": (["0", "0.02", "0.5"], ["1", "-0.1", "nan"]),
         "r_hi": (["0.6", "1"], ["0.01", "1.5", "nan"]),
-        "selectable": (["Beckon, Mimic", "Reward, Mimic"], ["", "Nope"]),
     },
     "fusion": {
         "tau_jerk": (["12", "1e-9"], ["0", "-1", "nan", "inf"]),
         "k_erratic": (["3", "1"], ["0", "-3", "2.5"]),
-        "t_recent": _SECONDS,
     },
     "profile": {
-        "routines": (["Beckon, Mimic, Ponder, PromptGesture", "Mimic", "Beckon, Reward", "Mimic, Mimic"], ["", "Nope"]),
+        "routines": (["Beckon, Mimic, Ponder, PromptGesture", "Mimic", "Beckon, Reward"], ["", "Nope", "Mimic, Mimic"]),
         "erratic_rate": _UNIT,
         "compliance": _UNIT,
     },
@@ -333,6 +329,11 @@ def test_range_boundaries_accepted(tmp_path):
     )
     assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
     assert cli.main(["oracle", "--config", path]) == 0
+
+
+def test_huge_max_sweeps_accepted(tmp_path):
+    path = write(tmp_path, "[learning]\nmax_sweeps = 1" + "0" * 400 + "\n")
+    assert load_config(path).learning.max_sweeps == 10**400
 
 
 def test_overrides_win(tmp_path):

@@ -15,7 +15,6 @@ from imime.learning import (
     StateId,
     TransitionModel,
     UnknownStateOrAction,
-    compute_reward,
     estimate_transition,
     select_action,
     update_values,
@@ -28,19 +27,12 @@ def att_state(attending):
     return AttentionState(
         face_present=attending,
         attending=attending,
-        interest="Passive",
         erratic=False,
         gesture=None,
-        expression="Neutral",
     )
 
 
-# --- reward and transition estimate ------------------------------------------------
-
-
-def test_reward_is_attending_bit():
-    assert compute_reward(att_state(True)) == 1
-    assert compute_reward(att_state(False)) == 0
+# --- transition estimate ------------------------------------------------------------
 
 
 def test_estimate_transition_values():
