@@ -35,16 +35,12 @@ GESTURES = ("LeftArmRaised", "RightArmRaised", "BothArmsRaised", "Wave")
 
 @dataclass
 class BehaviorConfig:
-    frame_rate: float = 10.0
     t_idle: float = 10.0  # seconds without interaction before the game prompts
     t_ponder: float = 2.0
     t_resp: float = 5.0  # seconds the viewer has to mimic
     t_feedback: float = 2.0  # Reward/Scold duration
     r_lo: float = 0.02  # face area / frame area bounds (distance proxy)
     r_hi: float = 0.30
-
-    def ticks(self, seconds: float) -> int:
-        return max(1, int(round(seconds * self.frame_rate)))
 
 
 @dataclass
@@ -67,9 +63,14 @@ class BehaviorState:
 
 
 class BehaviorEngine:
-    def __init__(self, cfg: BehaviorConfig | None = None, initial: Routine = Routine.IdleGazeWander):
-        self.cfg = cfg or BehaviorConfig()
+    def __init__(self, cfg: BehaviorConfig, frame_rate: float, initial: Routine = Routine.IdleGazeWander):
+        self.cfg = cfg
+        self.frame_rate = frame_rate
         self.state = BehaviorState(current=initial, policy_routine=initial)
+
+    def ticks(self, seconds: float) -> int:
+        """A duration in whole frames, at least one."""
+        return max(1, int(round(seconds * self.frame_rate)))
 
     # --- reflex layer -----------------------------------------------------
 
@@ -109,16 +110,16 @@ class BehaviorEngine:
             if game.phase == "Idle":
                 st.last_interaction_at = tick
         if game.phase == "Idle":
-            if tick - st.last_interaction_at > self.cfg.ticks(self.cfg.t_idle):
+            if tick - st.last_interaction_at > self.ticks(self.cfg.t_idle):
                 game.phase = "Pondering"
-                game.ponder_until = tick + self.cfg.ticks(self.cfg.t_ponder)
+                game.ponder_until = tick + self.ticks(self.cfg.t_ponder)
                 return Routine.Ponder
             return None
         if game.phase == "Pondering":
             if tick >= game.ponder_until:
                 game.phase = "Prompted"
                 game.prompted = GESTURES[int(rng.integers(len(GESTURES)))]
-                game.deadline_tick = tick + self.cfg.ticks(self.cfg.t_resp)
+                game.deadline_tick = tick + self.ticks(self.cfg.t_resp)
                 return Routine.PromptGesture
             return Routine.Ponder
         # Prompted
@@ -136,7 +137,7 @@ class BehaviorEngine:
     def _end_game(self, tick: int) -> None:
         self.state.game = GameState()
         self.state.last_interaction_at = tick
-        self.state.override_until = tick + self.cfg.ticks(self.cfg.t_feedback)
+        self.state.override_until = tick + self.ticks(self.cfg.t_feedback)
 
     # --- scheduler / policy layer -------------------------------------------
 

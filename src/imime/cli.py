@@ -45,7 +45,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".pgm") and f.startswith("face_"))
     if not names:
         print(f"no face_*.pgm frames in {args.frames}", file=sys.stderr)
@@ -137,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run the vision pipeline on stored PGM frames")
     analyze.add_argument("--frames", required=True)
-    analyze.add_argument("--config", default=None)
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(func=_cmd_analyze)
 

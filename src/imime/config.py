@@ -1,11 +1,13 @@
 """Episode configuration: flat `key = value` text files with bracketed
-section headers. Every key has a default; see README for the full table."""
+section headers. The str/int/float/bool fields of the config classes are
+the keys, with their types and defaults; see README."""
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -95,7 +97,6 @@ class EpisodeConfig:
         if not profile.routines:
             raise ConfigError("profile.routines", "no routines")
         self._validate_behavior_and_fusion()
-        self.behavior.frame_rate = self.frame_rate
         return self
 
     def _validate_behavior_and_fusion(self) -> None:
@@ -120,15 +121,28 @@ class EpisodeConfig:
             raise ConfigError("fusion.tau_jerk", f"must be > 0 and finite (got {fusion.tau_jerk})")
 
 
-# the keys each section may hold; [p_star] keys are checked as they are parsed
-SECTION_KEYS = {
-    "episode": ("mode", "steps", "frame_rate", "decision_period", "seed", "out", "dump_frames"),
-    "learning": ("epsilon", "gamma", "tol", "max_sweeps", "random_policy"),
-    "behavior": ("t_idle", "t_ponder", "t_resp", "t_feedback", "r_lo", "r_hi"),
-    "fusion": ("tau_jerk", "k_erratic"),
-    "profile": ("routines", "erratic_rate", "compliance"),
-    "p_star": None,
-    "scene": ("width", "height", "bg_intensity", "noise_sigma", "face_ax", "face_ay"),
+def _ini_keys(cls, **ini_names) -> dict[str, tuple[str, type]]:
+    """INI key -> (field name, type) for each str/int/float/bool field of a
+    config class; `ini_names` gives the fields whose key has another name."""
+    types = typing.get_type_hints(cls)
+    return {
+        ini_names.get(f.name, f.name): (f.name, types[f.name])
+        for f in fields(cls)
+        if types[f.name] in (str, int, float, bool)
+    }
+
+
+# INI section -> {key: (field name, type)}, built once: the config classes'
+# fields are the only definition of the keys, their types and defaults.
+# `profile.routines` is a comma-separated list of routine names; [p_star]
+# keys are checked as they are parsed.
+SECTIONS = {
+    "episode": _ini_keys(EpisodeConfig, out_dir="out"),
+    "learning": _ini_keys(PolicyConfig),
+    "behavior": _ini_keys(BehaviorConfig),
+    "fusion": _ini_keys(FusionConfig),
+    "profile": {"routines": ("routines", Routine), **_ini_keys(ViewerProfile)},
+    "scene": _ini_keys(SceneConfig),
 }
 
 
@@ -136,10 +150,12 @@ def _check_keys(parser) -> None:
     for key in parser.defaults():
         raise ConfigError(f"DEFAULT.{key}", "unknown key")
     for section in parser.sections():
-        if section not in SECTION_KEYS:
+        if section == "p_star":
+            continue
+        if section not in SECTIONS:
             raise ConfigError(section, "unknown section")
         for key in parser.options(section):
-            if SECTION_KEYS[section] is not None and key not in SECTION_KEYS[section]:
+            if key not in SECTIONS[section]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
 
 
@@ -156,33 +172,37 @@ def _parse_routines(text: str, key: str) -> tuple[Routine, ...]:
     return routines
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        if cast is bool:
-            return parser.getboolean(section, key)
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"bad value {raw!r}") from exc
+def _read(parser, section) -> dict:
+    """The fields a section sets, by name; a key it leaves out keeps its
+    field's default."""
+    values = {}
+    for key, (name, cast) in SECTIONS[section].items():
+        if not parser.has_option(section, key):
+            continue
+        raw = parser.get(section, key)
+        if cast is Routine:
+            values[name] = _parse_routines(raw, f"{section}.{key}")
+            continue
+        try:
+            values[name] = parser.getboolean(section, key) if cast is bool else cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}", f"bad value {raw!r}") from exc
+    return values
+
+
+def _attending(att: str) -> int:
+    if att not in ("attending", "notattending"):
+        raise ValueError(f"expected attending or notattending, got {att!r}")
+    return int(att == "attending")
 
 
 def _load_profile(parser) -> ViewerProfile:
     base = default_profile()
-    routines = base.routines
-    if parser.has_option("profile", "routines"):
-        routines = _parse_routines(parser.get("profile", "routines"), "profile.routines")
+    values = _read(parser, "profile")
+    routines = values.setdefault("routines", base.routines)
     n = len(routines)
-    p = np.full((n, 2, n), 0.5)
-    if routines == base.routines:
-        p = base.p_star.copy()
-    profile = ViewerProfile(
-        routines=routines,
-        p_star=p,
-        erratic_rate=_get(parser, "profile", "erratic_rate", float, base.erratic_rate),
-        compliance=_get(parser, "profile", "compliance", float, base.compliance),
-    )
+    p = base.p_star.copy() if routines == base.routines else np.full((n, 2, n), 0.5)
+    profile = ViewerProfile(p_star=p, **values)
     if parser.has_section("p_star"):
         for key, raw in parser.items("p_star"):
             parts = key.split(".")
@@ -190,13 +210,13 @@ def _load_profile(parser) -> ViewerProfile:
                 value = float(raw)
                 if len(parts) == 2:  # <attending|notattending>.<action>
                     att, action = parts
-                    j = 1 if att == "attending" else 0
+                    j = _attending(att)
                     l = profile.index(Routine(_canonical(action, routines)))
                     profile.p_star[:, j, l] = value
                 elif len(parts) == 3:  # <state_routine>.<att>.<action>
                     sr, att, action = parts
                     i = profile.index(Routine(_canonical(sr, routines)))
-                    j = 1 if att == "attending" else 0
+                    j = _attending(att)
                     l = profile.index(Routine(_canonical(action, routines)))
                     profile.p_star[i, j, l] = value
                 else:
@@ -226,47 +246,16 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
             raise ConfigError("config", f"cannot read {path}")
     _check_keys(parser)
 
-    cfg = EpisodeConfig(
-        mode=_get(parser, "episode", "mode", str, "labels"),
-        steps=_get(parser, "episode", "steps", int, 1000),
-        frame_rate=_get(parser, "episode", "frame_rate", float, 10.0),
-        decision_period=_get(parser, "episode", "decision_period", float, 2.0),
-        seed=_get(parser, "episode", "seed", int, 1),
-        out_dir=_get(parser, "episode", "out", str, "runs/episode"),
-        dump_frames=_get(parser, "episode", "dump_frames", bool, False),
-    )
-    cfg.learning = PolicyConfig(
-        epsilon=_get(parser, "learning", "epsilon", float, 0.125),
-        gamma=_get(parser, "learning", "gamma", float, 0.9),
-        tol=_get(parser, "learning", "tol", float, 1e-6),
-        max_sweeps=_get(parser, "learning", "max_sweeps", int, 10_000),
-        random_policy=_get(parser, "learning", "random_policy", bool, False),
-    )
-    cfg.behavior = BehaviorConfig(
-        frame_rate=cfg.frame_rate,
-        t_idle=_get(parser, "behavior", "t_idle", float, 10.0),
-        t_ponder=_get(parser, "behavior", "t_ponder", float, 2.0),
-        t_resp=_get(parser, "behavior", "t_resp", float, 5.0),
-        t_feedback=_get(parser, "behavior", "t_feedback", float, 2.0),
-        r_lo=_get(parser, "behavior", "r_lo", float, 0.02),
-        r_hi=_get(parser, "behavior", "r_hi", float, 0.30),
-    )
-    cfg.fusion = FusionConfig(
-        tau_jerk=_get(parser, "fusion", "tau_jerk", float, 12.0),
-        k_erratic=_get(parser, "fusion", "k_erratic", int, 3),
-    )
-    cfg.profile = _load_profile(parser)
+    episode = _read(parser, "episode")
+    learning = PolicyConfig(**_read(parser, "learning"))
+    behavior = BehaviorConfig(**_read(parser, "behavior"))
+    fusion = FusionConfig(**_read(parser, "fusion"))
+    profile = _load_profile(parser)
     try:
-        cfg.scene = SceneConfig(
-            width=_get(parser, "scene", "width", int, 128),
-            height=_get(parser, "scene", "height", int, 128),
-            bg_intensity=_get(parser, "scene", "bg_intensity", float, 60.0),
-            noise_sigma=_get(parser, "scene", "noise_sigma", float, 2.0),
-            face_ax=_get(parser, "scene", "face_ax", int, 24),
-            face_ay=_get(parser, "scene", "face_ay", int, 30),
-        )
+        scene = SceneConfig(**_read(parser, "scene"))
     except SceneError as exc:
         raise ConfigError(f"scene.{exc.key}", exc.message) from exc
+    cfg = EpisodeConfig(**episode, learning=learning, behavior=behavior, fusion=fusion, profile=profile, scene=scene)
 
     if overrides:
         for key, value in overrides.items():

@@ -381,18 +381,18 @@ class HeadTrack:
     def __len__(self) -> int:
         return len(self._buf)
 
-    def positions(self) -> list[tuple[float, float]]:
-        return list(self._buf)
+    def __iter__(self):
+        return iter(self._buf)
 
 
-def estimate_jerk(track: HeadTrack) -> float:
-    """Euclidean norm of the 4th-order finite difference of head position."""
-    pts = track.positions()
-    if len(pts) < 5:
-        raise InsufficientHistory(f"need 5 positions, have {len(pts)}")
-    p = np.array(pts[-5:])  # oldest .. newest
-    d = p[4] - 4 * p[3] + 6 * p[2] - 4 * p[1] + p[0]
-    return float(np.hypot(d[0], d[1]))
+def estimate_jerk(track) -> float:
+    """Euclidean norm of the 4th-order finite difference of the last five
+    head positions. `track` is a HeadTrack or any sized iterable of (x, y),
+    oldest first."""
+    if len(track) < 5:
+        raise InsufficientHistory(f"need 5 positions, have {len(track)}")
+    *_, (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = track
+    return float(np.hypot(x4 - 4 * x3 + 6 * x2 - 4 * x1 + x0, y4 - 4 * y3 + 6 * y2 - 4 * y1 + y0))
 
 
 class BrightnessBlobDetector:

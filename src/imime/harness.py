@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import body, face, viewer
-from .attention import AttentionEvaluator, AttentionState
+from .attention import AttentionEvaluator
 from .behavior import BehaviorEngine, Routine
 from .config import EpisodeConfig
 from .frames import write_pgm
@@ -39,11 +39,6 @@ class EpisodeLog:
 
     def decision_rows(self) -> list:
         return [r for r in self.rows if r["decision"]]
-
-
-def _label_mode_attention(vstate: viewer.ViewerState, evaluator: AttentionEvaluator, jerk: float) -> AttentionState:
-    orientation = "Frontal" if abs(vstate.yaw) < viewer.FRONTAL_YAW else ("Right" if vstate.yaw > 0 else "Left")
-    return evaluator.evaluate(orientation_label=orientation, jerk=jerk, gesture=vstate.gesture)
 
 
 class PixelPipeline:
@@ -80,10 +75,7 @@ class PixelPipeline:
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
         if mask.mean() >= 0.01:
-            profile = body.drape(mask)
-            pose = body.classify_pose(profile, self.pose_refs)
-            if pose not in ("Unknown", "ArmsDown"):
-                gesture = pose
+            gesture = body.classify_pose(body.drape(mask), self.pose_refs)
 
         attention = evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
         return attention, ratio, jerk, orientation_label
@@ -100,7 +92,7 @@ def run_episode(cfg: EpisodeConfig):
 
     profile = cfg.profile
     learner = Learner(profile.routines, cfg.learning)
-    engine = BehaviorEngine(cfg.behavior, initial=profile.routines[0])
+    engine = BehaviorEngine(cfg.behavior, cfg.frame_rate, initial=profile.routines[0])
     evaluator = AttentionEvaluator(cfg.fusion)
     vstate = viewer.ViewerState()
     pipeline = PixelPipeline(cfg, rng_noise) if cfg.mode == "pixels" else None
@@ -114,6 +106,8 @@ def run_episode(cfg: EpisodeConfig):
 
     committed: tuple[StateId, Routine] | None = None
     label_jerk_window: deque[tuple[float, float]] = deque(maxlen=5)
+    # label mode sees the whole face ellipse's bounding box
+    label_ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
 
     for tick in range(cfg.steps):
         decision = tick % fpd == 0
@@ -128,13 +122,11 @@ def run_episode(cfg: EpisodeConfig):
         # 2. perception
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
-            jerk = 0.0
-            if len(label_jerk_window) == 5:
-                (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = label_jerk_window
-                jerk = float(np.hypot(x4 - 4 * x3 + 6 * x2 - 4 * x1 + x0, y4 - 4 * y3 + 6 * y2 - 4 * y1 + y0))
-            attention = _label_mode_attention(vstate, evaluator, jerk)
-            orientation_label = "Frontal" if attention.attending else ("Right" if vstate.yaw > 0 else "Left")
-            ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
+            jerk = face.estimate_jerk(label_jerk_window) if len(label_jerk_window) == 5 else 0.0
+            yaw = vstate.yaw
+            orientation_label = "Frontal" if abs(yaw) < viewer.FRONTAL_YAW else ("Right" if yaw > 0 else "Left")
+            attention = evaluator.evaluate(orientation_label, jerk, vstate.gesture)
+            ratio = label_ratio
         else:
             face_frame, _ = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
             body_frame, _ = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)

@@ -17,10 +17,6 @@ import numpy as np
 from .attention import AttentionState
 from .behavior import Routine
 
-EPSILON = 0.125
-GAMMA = 0.9
-VI_TOL = 1e-6
-VI_MAX_SWEEPS = 10_000
 VI_BATCH = 256  # most sweeps evaluated in one batch
 
 
@@ -106,10 +102,10 @@ class TransitionModel:
 
 @dataclass
 class PolicyConfig:
-    epsilon: float = EPSILON
-    gamma: float = GAMMA
-    tol: float = VI_TOL
-    max_sweeps: int = VI_MAX_SWEEPS
+    epsilon: float = 0.125
+    gamma: float = 0.9
+    tol: float = 1e-6  # value-iteration residual to stop at
+    max_sweeps: int = 10_000
     random_policy: bool = False  # uniform-random baseline, for paired comparisons
 
 

@@ -23,6 +23,9 @@ RESPONSE_DELAY = 3  # frames between a prompt and a compliant gesture
 # face synthesizer tuning (calibrated so the vision defaults recover ground truth)
 SHADE_SLOPE_AT_45 = 2.32  # intensity/px lateral shading gradient at full yaw
 FEATURE_SHIFT_FRAC = 0.19  # feature shift at full yaw, as a fraction of the semi-axis
+FACE_INTENSITY = 200.0
+FEATURE_INTENSITY = 40.0  # eyes and mouth
+BODY_INTENSITY = 160.0
 
 
 class UnknownPoseLabel(ValueError):
@@ -94,9 +97,6 @@ class SceneConfig:
     noise_sigma: float = 2.0
     face_ax: int = 24  # face ellipse semi-axes
     face_ay: int = 30
-    face_intensity: float = 200.0
-    feature_intensity: float = 40.0
-    body_intensity: float = 160.0
 
     def __post_init__(self):
         for key, side in (("width", self.width), ("height", self.height)):
@@ -204,18 +204,18 @@ def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random
     box = img[y0:y1, x0:x1]
     inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
     slope = SHADE_SLOPE_AT_45 * state.yaw / 45.0
-    np.copyto(box, scene.face_intensity + slope * (xs - cx), where=inside)
+    np.copyto(box, FACE_INTENSITY + slope * (xs - cx), where=inside)
 
     shift = int(round(FEATURE_SHIFT_FRAC * ax * state.yaw / 45.0))
     eye_dy = -int(round(0.30 * ay))
     eye_dx = int(round(0.42 * ax))
     for ex in (cx - eye_dx + shift, cx + eye_dx + shift):
         disk = (xs - ex) ** 2 + (ys - (cy + eye_dy)) ** 2 <= 9
-        box[disk & inside] = scene.feature_intensity
+        box[disk & inside] = FEATURE_INTENSITY
     mouth_y = cy + int(round(0.45 * ay))
     mouth_hw = int(round(0.40 * ax))
     bar = (np.abs(xs - (cx + shift)) <= mouth_hw) & (np.abs(ys - mouth_y) <= 1)
-    box[bar & inside] = scene.feature_intensity
+    box[bar & inside] = FEATURE_INTENSITY
 
     frame = Frame(np.clip(img, 0, 255).astype(np.uint8))
     rect = (cx - ax, cy - ay, 2 * ax + 1, 2 * ay + 1)
@@ -275,7 +275,7 @@ def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.ra
         img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
     if state_pose is not None:
         mask = silhouette_mask(state_pose, scene)
-        img[mask] = scene.body_intensity
+        img[mask] = BODY_INTENSITY
     frame = Frame(np.clip(img, 0, 255).astype(np.uint8))
     return frame, state_pose
 

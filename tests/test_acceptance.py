@@ -163,7 +163,7 @@ def test_criterion_5_policy_distribution():
     expected = [0.125 / 3, 0.875, 0.125 / 3, 0.125 / 3]
     freq_ok = all(abs(f - e) <= 0.01 for f, e in zip(freqs, expected))
 
-    engine = BehaviorEngine(BehaviorConfig())
+    engine = BehaviorEngine(BehaviorConfig(), 10.0)
     coin_rng = np.random.default_rng(102)
     heads = sum(
         engine.scheduler_tick(coin_rng, lambda: Routine.Mimic) is not None for _ in range(10_000)
@@ -379,7 +379,7 @@ def test_criterion_10_loop_integrity():
     results = {}
 
     def fresh():
-        e = BehaviorEngine(BehaviorConfig())
+        e = BehaviorEngine(BehaviorConfig(), 10.0)
         t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
         return e, t, prompted
 

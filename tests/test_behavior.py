@@ -28,8 +28,8 @@ class CoinStub:
         return self._integers.pop(0) % n
 
 
-def engine(**kw):
-    return BehaviorEngine(BehaviorConfig(**kw))
+def engine(frame_rate=10.0, **kw):
+    return BehaviorEngine(BehaviorConfig(**kw), frame_rate)
 
 
 # --- reflex layer -----------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_scheduler_coin_is_fair():
 
 
 def idle_ticks(e):
-    return e.cfg.ticks(e.cfg.t_idle)
+    return e.ticks(e.cfg.t_idle)
 
 
 def advance_to_prompt(e, rng):
@@ -122,7 +122,7 @@ def test_game_prompts_after_idle_timeout():
     e = engine(t_idle=10.0, frame_rate=10.0)
     t, prompted = advance_to_prompt(e, CoinStub(integers=[2]))
     assert prompted == GESTURES[2]
-    assert e.state.game.deadline_tick == t + e.cfg.ticks(e.cfg.t_resp)
+    assert e.state.game.deadline_tick == t + e.ticks(e.cfg.t_resp)
 
 
 def test_correct_gesture_before_deadline_rewards():
@@ -131,7 +131,7 @@ def test_correct_gesture_before_deadline_rewards():
     out = e.simon_step(att(face=True, attending=True, gesture=prompted), t + 3, CoinStub())
     assert out == Routine.Reward
     assert e.state.game.phase == "Idle"
-    assert e.state.override_until == t + 3 + e.cfg.ticks(e.cfg.t_feedback)
+    assert e.state.override_until == t + 3 + e.ticks(e.cfg.t_feedback)
 
 
 def test_wrong_gesture_scolds():
@@ -175,7 +175,7 @@ def test_feedback_override_holds_the_stage():
     routine, cause = e.frame_step(att(face=True), 0.1, t + 5, CoinStub())
     assert routine == Routine.Reward and cause == "game"
     # after the hold expires control returns to the policy routine
-    routine, _ = e.frame_step(att(face=True), 0.1, t + 1 + e.cfg.ticks(e.cfg.t_feedback), CoinStub())
+    routine, _ = e.frame_step(att(face=True), 0.1, t + 1 + e.ticks(e.cfg.t_feedback), CoinStub())
     assert routine == e.state.policy_routine
 
 
@@ -216,7 +216,7 @@ def test_one_routine_change_per_frame():
 
 
 def test_ticks_rounding():
-    cfg = BehaviorConfig(frame_rate=10.0)
-    assert cfg.ticks(2.0) == 20
-    assert cfg.ticks(0.01) == 1  # never zero
-    assert BehaviorConfig(frame_rate=30.0).ticks(1.0) == 30
+    e = engine(frame_rate=10.0)
+    assert e.ticks(2.0) == 20
+    assert e.ticks(0.01) == 1  # never zero
+    assert engine(frame_rate=30.0).ticks(1.0) == 30

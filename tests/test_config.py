@@ -1,7 +1,9 @@
 from pathlib import Path
 
 import contextlib
+import copy
 import io
+import re
 import tempfile
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import cli
+from imime import cli, config
 from imime.behavior import Routine
 from imime.config import ConfigError, EpisodeConfig, load_config
 
@@ -145,6 +147,8 @@ OUT_OF_RANGE = [
     ("profile", "routines", "Mimic, Mimic", "profile.routines"),
     ("p_star", "attending.mimic", "1.5", "p_star.beckon.attending.mimic"),
     ("p_star", "ponder.notattending.beckon", "-0.2", "p_star.ponder.notattending.beckon"),
+    ("p_star", "attendng.mimic", "0.0", "p_star.attendng.mimic"),  # misspelt: not a not-attending cell
+    ("p_star", "beckon.attendng.mimic", "0.0", "p_star.beckon.attendng.mimic"),
     ("behavior", "selectable", "", "behavior.selectable"),
     ("behavior", "t_idle", "-1", "behavior.t_idle"),
     ("behavior", "t_ponder", "inf", "behavior.t_ponder"),
@@ -240,8 +244,8 @@ def test_behavior_and_fusion_boundaries_accepted(tmp_path):
 
 
 # (values in range, values out of range or malformed) per key; one key in
-# ten takes a bad value, and three files in ten end in an unknown key,
-# section or routine. `validate` rejects a gamma that value iteration
+# ten takes a bad value, and one file in three ends in an unknown key,
+# section, routine or attending part. `validate` rejects a gamma that value iteration
 # might not converge for within `max_sweeps`, so a NonConvergence (a
 # runtime error, exit 3) is not a possible outcome.
 _SECONDS = (["0", "0.5", "2", "30"], ["-1", "nan", "inf", "1e308", "x", ""])
@@ -302,7 +306,18 @@ def _ini_text(draw):
             good, bad = _INI_VALUES[section][key]
             value = draw(st.sampled_from(bad if draw(st.integers(0, 9)) == 0 else good))
             sections.setdefault(section, []).append(f"{key} = {value}")
-    junk = draw(st.sampled_from([""] * 7 + ["gama = 1.0", "[lerning]", "[p_star]\nreward.attending.mimic = 0.5"]))
+    junk = draw(
+        st.sampled_from(
+            [""] * 10
+            + [
+                "gama = 1.0",
+                "[lerning]",
+                "[p_star]\nreward.attending.mimic = 0.5",
+                "[p_star]\nattendng.mimic = 0.0",
+                "[p_star]\nbeckon.attendng.mimic = 0.0",
+            ]
+        )
+    )
     return "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines) for name, lines in sections.items()) + junk
 
 
@@ -353,16 +368,45 @@ EXAMPLE_INI = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
 
 
 def test_example_ini_gives_shipped_defaults():
-    example, default = load_config(str(EXAMPLE_INI)), load_config(None)
-    for name, value in vars(default).items():
-        if name != "profile":
-            assert getattr(example, name) == value, name
-    for name in ("routines", "erratic_rate", "compliance"):
-        assert getattr(example.profile, name) == getattr(default.profile, name), name
-    assert np.array_equal(example.profile.p_star, default.profile.p_star)
+    assert_same_config(load_config(str(EXAMPLE_INI)), load_config(None))
 
 
 def test_example_ini_runs_through_cli(tmp_path):
     argv = ["run", "--config", str(EXAMPLE_INI), "--steps", "10", "--out", str(tmp_path / "run")]
     assert cli.main(argv) == 0
     assert (tmp_path / "run" / "episode.csv").exists()
+
+
+def assert_same_config(a, b):
+    for name, value in vars(b).items():
+        if name != "profile":
+            assert getattr(a, name) == value, name
+    for name in ("routines", "erratic_rate", "compliance"):
+        assert getattr(a.profile, name) == getattr(b.profile, name), name
+    assert np.array_equal(a.profile.p_star, b.profile.p_star)
+
+
+def test_loader_keys_are_those_example_ini_lists():
+    listed, section = set(), None
+    for line in EXAMPLE_INI.read_text().splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line)
+        entry = re.match(r";?\s*(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+        elif entry and section != "p_star":
+            listed.add(f"{section}.{entry.group(1)}")  # commented keys too
+    loaded = {f"{section}.{key}" for section, keys in config.SECTIONS.items() for key in keys}
+    assert loaded == listed
+    assert len(loaded) == 29
+
+
+def test_defaults_without_file_are_the_dataclass_defaults():
+    assert_same_config(load_config(None), EpisodeConfig())
+
+
+def test_validate_leaves_the_config_unchanged():
+    cfg = load_config(str(EXAMPLE_INI))
+    cfg.frame_rate = 0.5
+    before = copy.deepcopy(cfg)
+    assert cfg.validate() is cfg
+    assert_same_config(cfg, before)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imime import cli, face, harness, viewer
-from imime.behavior import Routine
+from imime.attention import AttentionEvaluator
+from imime.behavior import BehaviorEngine, Routine
 from imime.config import load_config
 from imime.learning import Learner, PolicyConfig, StateId, TransitionModel, update_values
 from imime.viewer import ViewerProfile, default_profile
@@ -75,19 +76,19 @@ def test_same_seed_same_log_different_seed_different():
 
 def test_label_mode_jerk_equals_array_form(monkeypatch):
     positions, jerks = [], []
-    frame_update, label_attention = viewer.frame_update, harness._label_mode_attention
+    frame_update, evaluate = viewer.frame_update, AttentionEvaluator.evaluate
 
     def recording_frame_update(*args, **kwargs):
         state = frame_update(*args, **kwargs)
         positions.append((state.x, state.y))
         return state
 
-    def recording_attention(vstate, evaluator, jerk):
+    def recording_evaluate(self, orientation_label, jerk, gesture):
         jerks.append(jerk)
-        return label_attention(vstate, evaluator, jerk)
+        return evaluate(self, orientation_label, jerk, gesture)
 
     monkeypatch.setattr(viewer, "frame_update", recording_frame_update)
-    monkeypatch.setattr(harness, "_label_mode_attention", recording_attention)
+    monkeypatch.setattr(AttentionEvaluator, "evaluate", recording_evaluate)
     cfg = load_config(None, {"steps": 400, "seed": 13})
     cfg.profile.erratic_rate = 0.15  # bursts give jerks above the reflex threshold
     harness.run_episode(cfg)
@@ -279,6 +280,21 @@ def test_exploration_counts_only_consulted_policy_choices(monkeypatch):
     assert sum(r["explore"] for r in log.rows) == sum(chose)
     m = harness.metrics(log, learner, cfg.profile)
     assert m["exploration_rate"] == sum(chose) / log.decisions
+
+
+def test_frame_rate_set_after_loading_reaches_the_engine(monkeypatch):
+    engines = []
+
+    class RecordingEngine(BehaviorEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(harness, "BehaviorEngine", RecordingEngine)
+    cfg = load_config(None, {"steps": 20})
+    cfg.frame_rate = 0.5
+    harness.run_episode(cfg)
+    assert engines[0].ticks(cfg.behavior.t_idle) == 5  # 10 s at 0.5 frames/s
 
 
 def test_save_episode_writes_all_artifacts(tmp_path):

@@ -236,7 +236,7 @@ def reference_synthesize_face_frame(state, scene, rng):
     ax, ay = scene.face_ax, scene.face_ay
     ys, xs = np.mgrid[0:h, 0:w]
     inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
-    img[inside] = scene.face_intensity
+    img[inside] = viewer.FACE_INTENSITY
     slope = viewer.SHADE_SLOPE_AT_45 * state.yaw / 45.0
     img[inside] += slope * (xs[inside] - cx)
     shift = int(round(viewer.FEATURE_SHIFT_FRAC * ax * state.yaw / 45.0))
@@ -244,11 +244,11 @@ def reference_synthesize_face_frame(state, scene, rng):
     eye_dx = int(round(0.42 * ax))
     for ex in (cx - eye_dx + shift, cx + eye_dx + shift):
         disk = (xs - ex) ** 2 + (ys - (cy + eye_dy)) ** 2 <= 9
-        img[disk & inside] = scene.feature_intensity
+        img[disk & inside] = viewer.FEATURE_INTENSITY
     mouth_y = cy + int(round(0.45 * ay))
     mouth_hw = int(round(0.40 * ax))
     bar = (np.abs(xs - (cx + shift)) <= mouth_hw) & (np.abs(ys - mouth_y) <= 1)
-    img[bar & inside] = scene.feature_intensity
+    img[bar & inside] = viewer.FEATURE_INTENSITY
     rect = (cx - ax, cy - ay, 2 * ax + 1, 2 * ay + 1)
     return np.clip(img, 0, 255).astype(np.uint8), {"face_rect": rect, "yaw": state.yaw, "attending": state.attending}
 
