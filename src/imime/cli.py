@@ -88,7 +88,7 @@ def _cmd_plot(args) -> int:
         for row in csv.DictReader(f):
             if int(row["decision"]):
                 rewards.append(int(row["reward"]))
-    window = 100
+    window = harness.CURVE_WINDOW
     points = [(i, sum(rewards[i : i + window]) / len(rewards[i : i + window])) for i in range(0, len(rewards), window)]
     if args.out.lower().endswith(".png"):
         try:

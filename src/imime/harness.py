@@ -27,14 +27,15 @@ from .frames import write_pgm
 from .learning import Learner, StateId
 
 BACKGROUND_TRAINING_FRAMES = 10
+CURVE_WINDOW = 100  # decisions per attention-fraction window of the learning curve
 
 
 @dataclass
 class EpisodeLog:
+    gamma: float
     rows: list = field(default_factory=list)  # per-frame dicts
     transitions: list = field(default_factory=list)  # (tick, old, new, cause)
     decisions: int = 0
-    gamma: float = 0.9
     initial_state: StateId | None = None
 
     def decision_rows(self) -> list:
@@ -184,7 +185,7 @@ def run_episode(cfg: EpisodeConfig):
 # --- oracle -------------------------------------------------------------------
 
 
-def oracle_policy(profile: viewer.ViewerProfile, gamma: float = 0.9, tol: float = 1e-10):
+def oracle_policy(profile: viewer.ViewerProfile, gamma: float, tol: float = 1e-10):
     """Exact value iteration on the TRUE attend probabilities.
 
     Deliberately independent of learning.update_values: plain loop code over
@@ -226,11 +227,12 @@ def oracle_policy(profile: viewer.ViewerProfile, gamma: float = 0.9, tol: float 
 # --- metrics ------------------------------------------------------------------
 
 
-def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile, window: int = 100) -> dict:
+def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) -> dict:
     decision_rows = log.decision_rows()
     rewards = [r["reward"] for r in decision_rows]
     gamma = log.gamma
 
+    window = CURVE_WINDOW
     window_fractions = [
         float(np.mean(rewards[i : i + window])) for i in range(0, len(rewards), window) if rewards[i : i + window]
     ]

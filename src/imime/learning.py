@@ -10,6 +10,7 @@ bit of the successor is the (binary) reward.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,43 +141,58 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     whole table. A batch keeps its sweeps up to the first one whose row
     maxima differ from the carried values, so tables and residuals equal
     those of sweeping the whole table one sweep at a time.
+
+    How many sweeps to carry is predicted from the move m of the state
+    values in the first carried sweep: the residual of sweep k + 1 is at
+    most gamma**k * m, so 2 + ceil(log(tol / m) / log(gamma)) carried values
+    reach tol unless a row's argmax changes on the way. The prediction only
+    sets the batch length; which sweeps are kept and where the residual
+    first drops below tol are still decided on the numpy sweeps, so a short
+    guess costs one more batch and a long one a few unused sweeps, never a
+    different output.
     """
     cfg = cfg or PolicyConfig()
     n = len(model.routines)
     # flatten to (state, action) with states routine-major: s = 2*routine + attending
     p = model.p.reshape(2 * n, n)
     q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
-    gamma = cfg.gamma
+    gamma, tol = cfg.gamma, cfg.tol
     residuals = []
     while len(residuals) < cfg.max_sweeps:
         best = q.argmax(axis=1)
         terms = list(zip(p[np.arange(2 * n), best].tolist(), (2 * best + 1).tolist(), (2 * best).tolist()))
         v = q.max(axis=1).tolist()  # value of best action in each state
-        carried = [v]
-        limit = min(VI_BATCH, cfg.max_sweeps - len(residuals))
-        while len(carried) < limit:
-            new = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
-            moved = max(abs(a - b) for a, b in zip(new, v))
-            carried.append(new)
-            v = new
-            # a sweep's residual is at most gamma times the move of the state
-            # values it starts from, so the sweep after this one converges
-            if moved < cfg.tol:
-                break
-        size = len(carried)
-        vs = np.array(carried)
+        flat = list(v)
+        size = min(VI_BATCH, cfg.max_sweeps - len(residuals))
+        if size > 1:
+            v = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
+            moved = max(abs(a - b) for a, b in zip(v, flat))
+            if moved < tol or gamma == 0.0:
+                size = 2
+            else:
+                size = min(size, 2 + math.ceil(math.log(tol / moved) / math.log(gamma)))
+            flat += v
+            for _ in range(size - 2):
+                v = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
+                flat += v
+        vs = np.array(flat).reshape(size, 2 * n)
         v_att = vs[:, None, 1::2]  # successor state (action routine, attending=True)
         v_not = vs[:, None, 0::2]
         sweeps = np.empty((size + 1, 2 * n, n))
         sweeps[0] = q
         sweeps[1:] = p + gamma * (p * (v_att - v_not) + v_not)
-        # sweep k + 1 is exact while the carried values up to k are the row maxima
-        wrong = np.flatnonzero((sweeps[1:size].max(axis=2) != vs[1:]).any(axis=1))
+        # sweep k + 1 is exact while the carried values up to k are the row
+        # maxima; n - 1 np.maximum calls over the action slices take those
+        # maxima faster than .max(axis=2) over an innermost axis this short
+        rowmax = sweeps[1:size, :, 0]
+        for a in range(1, n):
+            rowmax = np.maximum(rowmax, sweeps[1:size, :, a])
+        wrong = np.flatnonzero((rowmax != vs[1:]).any(axis=1))
         valid = int(wrong[0]) + 1 if wrong.size else size
         resid = np.abs(sweeps[1 : valid + 1] - sweeps[:valid]).reshape(valid, -1).max(axis=1)
         for k, r in enumerate(resid.tolist()):
             residuals.append(r)
-            if r < cfg.tol:
+            if r < tol:
                 table = QTable(model.routines, gamma, sweeps[k + 1].reshape(n, 2, n).copy())
                 table.residuals = residuals
                 return table

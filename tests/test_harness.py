@@ -216,7 +216,7 @@ def test_oracle_policy_equals_reference_exactly(case):
 
 def test_oracle_policy_on_default_profile():
     profile = default_profile()
-    policy, values = harness.oracle_policy(profile)
+    policy, values = harness.oracle_policy(profile, 0.9)
     # Mimic attends at 0.9 from attending states, Beckon at 0.9 otherwise
     for (routine, att), action in policy.items():
         assert action == (Routine.Mimic if att else Routine.Beckon)

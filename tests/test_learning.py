@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imime import learning
+from imime import harness, learning
 from imime.attention import AttentionState
 from imime.behavior import Routine
+from imime.config import load_config
 from imime.learning import (
+    VI_BATCH,
     Learner,
     NonConvergence,
     OutcomeTable,
@@ -213,17 +215,41 @@ def _value_case(draw):
     q0 = None
     if draw(st.booleans()):
         q0 = QTable(R4[:n], 0.9, rng.normal(0.0, 5.0, (n, 2, n)))
-    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    # gamma 0 converges in two sweeps; 0.99 and 0.999 need more than VI_BATCH
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]))
     tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
-    return TransitionModel(R4[:n], p), PolicyConfig(gamma=gamma, tol=tol), q0
+    # small budgets cut a predicted batch short, or end in NonConvergence
+    max_sweeps = draw(st.sampled_from([1, 2, 3, 300, 10_000]))
+    return TransitionModel(R4[:n], p), PolicyConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps), q0
+
+
+def _long_case(gamma, max_sweeps):
+    p = np.random.default_rng(3).random((4, 2, 4))
+    return TransitionModel(R4, p), PolicyConfig(gamma=gamma, tol=1e-12, max_sweeps=max_sweeps), None
+
+
+def test_long_cases_need_more_than_one_batch():
+    assert len(update_values(*_long_case(0.99, 10_000)).residuals) > VI_BATCH
+    with pytest.raises(NonConvergence):
+        update_values(*_long_case(0.999, 10_000))
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_value_case())
+@example(case=_long_case(0.99, 10_000))
+@example(case=_long_case(0.999, 10_000))
+@example(case=_long_case(0.9, 1))
+@example(case=_long_case(0.0, 10_000))
 def test_update_values_bit_identical_to_whole_table_sweeps(case):
     model, cfg, q0 = case
+    try:
+        expected, residuals = _sweep_update_values(model, cfg, q0)
+    except NonConvergence as want:
+        with pytest.raises(NonConvergence) as got:
+            update_values(model, cfg, q0)
+        assert got.value.residual == want.residual
+        return
     q = update_values(model, cfg, q0)
-    expected, residuals = _sweep_update_values(model, cfg, q0)
     assert q.q.tobytes() == expected.tobytes()
     assert q.residuals == residuals
 
@@ -240,6 +266,28 @@ def test_update_values_bit_identical_along_a_learning_run():
         expected, residuals = _sweep_update_values(learner.model, learner.cfg, q0)
         assert learner.q.q.tobytes() == expected.tobytes()
         assert learner.q.residuals == residuals
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_update_values_bit_identical_at_session_cadence(monkeypatch, seed):
+    # default config: 20 frames per decision, so the values move further
+    # between decisions and a batch restarts on a changed argmax more often
+    calls = []
+
+    def checked(model, cfg, q0=None):
+        q = update_values(model, cfg, q0)
+        expected, residuals = _sweep_update_values(model, cfg, q0)
+        assert q.q.tobytes() == expected.tobytes()
+        assert q.residuals == residuals
+        calls.append(len(residuals))
+        return q
+
+    monkeypatch.setattr(learning, "update_values", checked)
+    cfg = load_config(None, {"steps": 300, "seed": seed})
+    cfg.profile.erratic_rate = 0.15
+    assert cfg.validate().frames_per_decision == 20
+    harness.run_episode(cfg)
+    assert len(calls) == 15  # the cold start and one per decision after the first
 
 
 def test_update_values_nonconvergence_matches_whole_table_sweeps():
