@@ -30,6 +30,8 @@ class Frame:
         if px.shape[0] < MIN_SIDE or px.shape[1] < MIN_SIDE:
             raise FrameError(f"frame must be at least {MIN_SIDE}x{MIN_SIDE}, got {px.shape}")
         if px.dtype != np.uint8:
+            if not np.isfinite(px).all():
+                raise FrameError("non-finite pixel values")
             if px.min() < 0 or px.max() > 255:
                 raise FrameError("pixel values outside [0, 255]")
             px = px.astype(np.uint8)

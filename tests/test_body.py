@@ -1,9 +1,12 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from imime import body
+from imime import body, viewer
 from imime.frames import DimensionMismatch, Frame
 
 
@@ -188,7 +191,8 @@ def test_pearson_bounds_and_symmetry():
 
 
 def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
-    """`body.drape` as a plain loop: every iteration, no free-fall shortcut."""
+    """`body.drape` as a plain loop: every iteration, each tested for
+    convergence, no free-fall shortcut."""
     h, w = mask.shape
     limits = np.full(w, float(h))
     cols = mask.any(axis=0)
@@ -209,6 +213,15 @@ def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
     if span == 0:
         return np.zeros(w)
     return (heights - heights.min()) / span
+
+
+def reference_segment_foreground(model, frame, tau_mahal=body.TAU_MAHAL):
+    """`body.segment_foreground` with sigma taken per frame and the majority
+    vote as a 3x3 float mean over a zero border, thresholded at 0.5."""
+    dist = np.abs(frame.pixels.astype(float) - model.mean) / np.sqrt(model.var)
+    raw = dist > tau_mahal
+    votes = ndimage.uniform_filter(raw.astype(float), size=3, mode="constant")
+    return votes > 0.5
 
 
 def reference_pearson(a, b):
@@ -248,6 +261,32 @@ def drape_masks(draw):
     return mask
 
 
+# `segment_foreground` reads only `frame.pixels`, so this stand-in carries
+# images below Frame's 16-pixel minimum side
+Pixels = namedtuple("Pixels", "pixels")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=st.integers(1, 39),
+    w=st.integers(1, 39),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 200.0),
+    tau_mahal=st.one_of(st.just(body.TAU_MAHAL), st.floats(0.0, 12.0)),
+)
+def test_segment_foreground_equals_reference(h, w, seed, spread, tau_mahal):
+    rng = np.random.default_rng(seed)
+    mean = rng.uniform(0.0, 255.0, size=(h, w))
+    var = rng.uniform(body.VAR_FLOOR, 400.0, size=(h, w))
+    # pixels scattered around the mean by up to `spread`: from no foreground to all of it
+    pixels = np.clip(np.rint(mean + rng.uniform(-spread, spread, size=(h, w))), 0, 255).astype(np.uint8)
+    model, frame = body.BackgroundModel(mean=mean, var=var), Pixels(pixels)
+    got = body.segment_foreground(model, frame, tau_mahal)
+    want = reference_segment_foreground(model, frame, tau_mahal)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     mask=drape_masks(),
@@ -261,18 +300,19 @@ def test_drape_bit_identical_to_reference(mask, gravity, coupling, tol, max_iter
     assert got.tobytes() == reference_drape(mask, gravity, coupling, tol, max_iters).tobytes()
 
 
+@pytest.mark.parametrize("max_iters", [60, 2 * body.DRAPE_BATCH, 2 * body.DRAPE_BATCH + 1])
 @pytest.mark.parametrize(
     "gravity, coupling, tol",
     [(0.0, 0.25, 0.05), (-1.5, 0.25, 0.05), (0.1, 0.25, 0.05), (2.0, 0.25, float("nan")), (2.0, 0.25, -1.0),
      (2.0, float("inf"), 0.05), (2.0, float("nan"), 0.05), (float("inf"), 0.25, 0.05), (2.0, 1.5, 0.05)],
 )
-def test_drape_odd_parameters_match_reference(gravity, coupling, tol):
+def test_drape_odd_parameters_match_reference(gravity, coupling, tol, max_iters):
     mask = np.zeros((40, 24), dtype=bool)
     mask[31:, :] = True
     mask[17:, 8:14] = True
     with np.errstate(all="ignore"):
-        got = body.drape(mask, gravity, coupling, tol, max_iters=60)
-        want = reference_drape(mask, gravity, coupling, tol, max_iters=60)
+        got = body.drape(mask, gravity, coupling, tol, max_iters)
+        want = reference_drape(mask, gravity, coupling, tol, max_iters)
     assert got.tobytes() == want.tobytes()
 
 
@@ -303,3 +343,20 @@ def test_classify_pose_equals_reference(seed, n, n_refs, constant):
     elif constant == "reference":
         refs[0] = body.PoseReference("flat", np.zeros(n))
     assert body.classify_pose(profile, refs) == reference_classify_pose(profile, refs)
+    # the best r, bit for bit: accepted at exactly its value, rejected one ulp above
+    best_r = max(reference_pearson(profile, r.profile) for r in refs)
+    assert body.classify_pose(profile, refs, tau_pose=best_r) == reference_classify_pose(profile, refs, best_r)
+    assert body.classify_pose(profile, refs, tau_pose=np.nextafter(best_r, np.inf)) == "Unknown"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pose_reference_statistics_equal_recomputation(seed):
+    refs = viewer.build_pose_references() + [
+        body.PoseReference("random", np.random.default_rng(seed).normal(size=50)),
+        body.PoseReference("list", [0.0, 1.0, 3.0]),
+        body.PoseReference("flat", np.zeros(8)),
+    ]
+    for ref in refs:
+        b = np.asarray(ref.profile, float)
+        assert ref.centred.tobytes() == (b - b.mean()).tobytes()
+        assert float(ref.std).hex() == float(b.std()).hex()

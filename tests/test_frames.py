@@ -28,6 +28,14 @@ def test_frame_rejects_bad_inputs():
         Frame(np.full((16, 16), -1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_frame_rejects_non_finite_pixels(bad):
+    px = np.full((16, 16), 100.0)
+    px[3, 5] = bad
+    with pytest.raises(FrameError, match="non-finite"):
+        Frame(px)
+
+
 def test_same_size():
     a = Frame(np.zeros((16, 16), dtype=np.uint8))
     b = Frame(np.zeros((16, 17), dtype=np.uint8))

@@ -100,15 +100,16 @@ def test_label_mode_jerk_equals_array_form(monkeypatch):
     assert max(jerks) > cfg.fusion.tau_jerk
 
 
-def test_label_and_pixel_modes_agree_without_vision_noise():
-    common = dict(steps=100, seed=3)
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_label_and_pixel_modes_agree_without_vision_noise(seed):
+    common = dict(steps=300, seed=seed)
     cfg_l, log_l, _ = run(mode="labels", **common)
+    assert cfg_l.profile.erratic_rate == 0.0
     cfg_p = load_config(None, {"mode": "pixels", **common})
     cfg_p.scene.noise_sigma = 0.0
     log_p, _ = harness.run_episode(cfg_p)
-    att_l = [r["attending"] for r in log_l.rows]
-    att_p = [r["attending"] for r in log_p.rows]
-    assert att_l == att_p
+    for column in ("attending", "routine"):
+        assert [r[column] for r in log_l.rows] == [r[column] for r in log_p.rows], column
 
 
 # SHA-256 over episode.csv, transitions.csv, learning.csv and metrics.csv of
