@@ -23,22 +23,17 @@ def main(argv=None):
 
     scene = viewer.SceneConfig(noise_sigma=args.noise)
     rng = np.random.default_rng(args.seed)
-    detector = face.BrightnessBlobDetector()
+    faces = face.FaceTracker()
 
     yaws = np.linspace(-45.0, 45.0, args.frames)
-    prev = "Frontal"
     confusion = {}
     for yaw in yaws:
         frame, _ = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
-        rect = detector.detect(frame)
-        if rect is None:
+        cues = faces.observe(frame)
+        if cues is None:
             continue
-        s = face.symmetry_score(frame, rect)
-        e = face.edge_cog_offset(frame, rect)
-        est = face.fuse_orientation(s, e, prev)
-        prev = est.label
-        truth = "Frontal" if abs(yaw) < viewer.FRONTAL_YAW else ("Right" if yaw > 0 else "Left")
-        confusion[(truth, est.label)] = confusion.get((truth, est.label), 0) + 1
+        key = (viewer.true_orientation(yaw), cues[3])
+        confusion[key] = confusion.get(key, 0) + 1
 
     total = sum(confusion.values())
     correct = sum(v for (t, p), v in confusion.items() if t == p)

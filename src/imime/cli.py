@@ -49,9 +49,7 @@ def _cmd_analyze(args) -> int:
     if not names:
         print(f"no face_*.pgm frames in {args.frames}", file=sys.stderr)
         return 3
-    detector = face.BrightnessBlobDetector()
-    track = face.HeadTrack()
-    prev_label = "Frontal"
+    faces = face.FaceTracker()
     prev_frame = None
     out_path = args.out or os.path.join(args.frames, "analysis.csv")
     with open(out_path, "w", newline="") as f:
@@ -59,24 +57,18 @@ def _cmd_analyze(args) -> int:
         writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion", "expression"])
         for name in names:
             frame = read_pgm(os.path.join(args.frames, name))
-            rect = detector.detect(frame)
-            if rect is None:
+            cues = faces.observe(frame)
+            if cues is None:
                 writer.writerow([name, 0, "", "", "NoFace", "", "", ""])
                 prev_frame = frame
                 continue
-            s = face.symmetry_score(frame, rect)
-            e = face.edge_cog_offset(frame, rect)
-            est = face.fuse_orientation(s, e, prev_label)
-            prev_label = est.label
-            cx, cy = rect.center
-            track.push(cx, cy)
-            jerk = face.estimate_jerk(track) if len(track) >= 5 else 0.0
+            rect, s, e, label, jerk = cues
             motion = expression = ""
             if prev_frame is not None and prev_frame.same_size(frame):
                 cf, whole = face.flow_features(prev_frame, frame, rect)
                 motion = face.classify_motion(whole, cf)
                 expression = face.classify_expression(cf, face.EXPRESSION_REFS)
-            writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", est.label, f"{jerk:.4f}", motion, expression])
+            writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", label, f"{jerk:.4f}", motion, expression])
             prev_frame = frame
     print(f"wrote {out_path}")
     return 0

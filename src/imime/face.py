@@ -1,12 +1,13 @@
 """Facial analysis: face detection, head orientation from symmetry + edge
-cues and the jerk operator, which the closed loop uses every frame; and
-region optical flow with expression and motion classes, which only
-`imime analyze` computes, over stored frames."""
+cues and the jerk operator, which `FaceTracker` joins into the one
+per-frame face-cue path of the closed loop, `imime analyze` and the vision
+report; and region optical flow with expression and motion classes, which
+only `imime analyze` computes, over stored frames."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,15 +15,18 @@ from scipy import ndimage
 
 from .frames import DimensionMismatch, Frame
 
-REGION_LABELS = (
-    "LeftEyebrow",
-    "RightEyebrow",
-    "LeftEye",
-    "RightEye",
-    "LeftCheek",
-    "RightCheek",
-    "Mouth",
+# the seven face regions in label order, each as fractions of the face rect:
+# (label, col_lo, col_hi, row_lo, row_hi)
+REGIONS = (
+    ("LeftEyebrow", 0.10, 0.45, 0.15, 0.30),
+    ("RightEyebrow", 0.55, 0.90, 0.15, 0.30),
+    ("LeftEye", 0.10, 0.45, 0.30, 0.45),
+    ("RightEye", 0.55, 0.90, 0.30, 0.45),
+    ("LeftCheek", 0.10, 0.45, 0.50, 0.70),
+    ("RightCheek", 0.55, 0.90, 0.50, 0.70),
+    ("Mouth", 0.30, 0.70, 0.70, 0.90),
 )
+REGION_LABELS = tuple(label for label, *_ in REGIONS)
 
 # default facial-region geometry thresholds; all configurable
 TAU_SYM = 0.06
@@ -76,36 +80,16 @@ class FaceRect:
             raise ValueError("face rect outside frame")
 
 
-@dataclass(frozen=True)
-class RegionLayout:
-    """Seven fractional sub-rectangles of a face rect, (col_lo, col_hi, row_lo, row_hi)."""
-
-    regions: dict = field(
-        default_factory=lambda: {
-            "LeftEyebrow": (0.10, 0.45, 0.15, 0.30),
-            "RightEyebrow": (0.55, 0.90, 0.15, 0.30),
-            "LeftEye": (0.10, 0.45, 0.30, 0.45),
-            "RightEye": (0.55, 0.90, 0.30, 0.45),
-            "LeftCheek": (0.10, 0.45, 0.50, 0.70),
-            "RightCheek": (0.55, 0.90, 0.50, 0.70),
-            "Mouth": (0.30, 0.70, 0.70, 0.90),
-        }
-    )
-
-
-def partition_regions(rect: FaceRect, layout: RegionLayout | None = None) -> list[tuple]:
+def partition_regions(rect: FaceRect) -> list[tuple]:
     """Split a face rect into the seven canonical pixel regions.
 
     Returns (x, y, w, h) tuples in REGION_LABELS order, half-open pixel
-    intervals rounded from the fractional layout.
+    intervals rounded from the fractions in REGIONS.
     """
-    if layout is None:
-        layout = RegionLayout()
     if rect.w < MIN_FACE_SIDE or rect.h < MIN_FACE_SIDE:
         raise RectTooSmall(f"face rect {rect.w}x{rect.h} below {MIN_FACE_SIDE}px minimum")
     out = []
-    for label in REGION_LABELS:
-        c0, c1, r0, r1 = layout.regions[label]
+    for label, c0, c1, r0, r1 in REGIONS:
         x0 = rect.x + int(round(c0 * rect.w))
         x1 = rect.x + int(round(c1 * rect.w))
         y0 = rect.y + int(round(r0 * rect.h))
@@ -331,64 +315,32 @@ def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE
     return float(np.clip((cog - half) / half, -1.0, 1.0))
 
 
-@dataclass(frozen=True)
-class OrientationEstimate:
-    symmetry: float
-    edge_offset: float
-    label: str  # Left | Frontal | Right
-    confidence: float
-
-
 def fuse_orientation(
     s: float,
     e: float,
     prev_label: str = "Frontal",
     tau_sym: float = TAU_SYM,
     tau_cog: float = TAU_COG,
-) -> OrientationEstimate:
-    """Combine the symmetry and edge cues into a head-orientation estimate.
+) -> str:
+    """Combine the symmetry and edge cues into a head-orientation label,
+    Left, Frontal or Right.
 
     Frontal requires both cues below threshold; otherwise the edge sign
     decides Left/Right, keeping the previous label when the edge cue is
     silent (hysteresis).
     """
-    fs = 1.0 - min(1.0, s / tau_sym)
-    fe = 1.0 - min(1.0, abs(e) / tau_cog)
     if s < tau_sym and abs(e) < tau_cog:
-        return OrientationEstimate(s, e, "Frontal", fs * fe)
-    conf = min(1.0, s / tau_sym) * min(1.0, abs(e) / tau_cog)
+        return "Frontal"
     if e < 0:
-        label = "Left"
-    elif e > 0:
-        label = "Right"
-    else:
-        label = prev_label
-        conf = min(1.0, s / tau_sym)
-    return OrientationEstimate(s, e, label, conf)
-
-
-class HeadTrack:
-    """Ring buffer of recent face-rect centers; single writer."""
-
-    def __init__(self, capacity: int = 16):
-        if capacity < 5:
-            raise ValueError("capacity must be >= 5")
-        self._buf: deque = deque(maxlen=capacity)
-
-    def push(self, x: float, y: float) -> None:
-        self._buf.append((float(x), float(y)))
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    def __iter__(self):
-        return iter(self._buf)
+        return "Left"
+    if e > 0:
+        return "Right"
+    return prev_label
 
 
 def estimate_jerk(track) -> float:
     """Euclidean norm of the 4th-order finite difference of the last five
-    head positions. `track` is a HeadTrack or any sized iterable of (x, y),
-    oldest first."""
+    head positions. `track` is any sized iterable of (x, y), oldest first."""
     if len(track) < 5:
         raise InsufficientHistory(f"need 5 positions, have {len(track)}")
     *_, (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = track
@@ -430,6 +382,32 @@ class BrightnessBlobDetector:
             else:
                 return None
         return FaceRect(x0, y0, x1 - x0, y1 - y0)
+
+
+class FaceTracker:
+    """The face cues of a frame sequence, one frame at a time: the face
+    rect, its symmetry and edge cues, the head orientation label with
+    hysteresis (starting from Frontal) and the jerk of the last five face
+    centres. A frame without a face leaves the label and the centres as
+    they were."""
+
+    def __init__(self):
+        self.detector = BrightnessBlobDetector()
+        self.label = "Frontal"
+        self.centers: deque[tuple[float, float]] = deque(maxlen=5)
+
+    def observe(self, frame: Frame) -> tuple[FaceRect, float, float, str, float] | None:
+        """(rect, symmetry, edge_offset, label, jerk), or None when no face
+        is found; jerk is 0.0 until five faces have been seen."""
+        rect = self.detector.detect(frame)
+        if rect is None:
+            return None
+        s = symmetry_score(frame, rect)
+        e = edge_cog_offset(frame, rect)
+        self.label = fuse_orientation(s, e, self.label)
+        self.centers.append(rect.center)
+        jerk = estimate_jerk(self.centers) if len(self.centers) == 5 else 0.0
+        return rect, s, e, self.label, jerk
 
 
 def _bounds(mask: np.ndarray) -> tuple[int, int, int, int]:

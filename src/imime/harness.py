@@ -21,7 +21,7 @@ import numpy as np
 
 from . import body, face, viewer
 from .attention import AttentionEvaluator
-from .behavior import BehaviorEngine, Routine
+from .behavior import BehaviorEngine
 from .config import EpisodeConfig
 from .frames import write_pgm
 from .learning import Learner, StateId
@@ -46,9 +46,7 @@ class PixelPipeline:
     """Full vision stack over synthesized frames."""
 
     def __init__(self, cfg: EpisodeConfig, noise_rng: np.random.Generator):
-        self.detector = face.BrightnessBlobDetector()
-        self.track = face.HeadTrack()
-        self.prev_orientation = "Frontal"
+        self.faces = face.FaceTracker()
         bg_frames = [
             viewer.synthesize_body_frame(None, cfg.scene, noise_rng)[0]
             for _ in range(BACKGROUND_TRAINING_FRAMES)
@@ -57,20 +55,11 @@ class PixelPipeline:
         self.pose_refs = viewer.build_pose_references(cfg.scene)
 
     def process(self, face_frame, body_frame, evaluator: AttentionEvaluator):
-        rect = self.detector.detect(face_frame)
-        orientation_label = None
-        jerk = 0.0
-        ratio = 0.0
-        if rect is not None:
-            s = face.symmetry_score(face_frame, rect)
-            e = face.edge_cog_offset(face_frame, rect)
-            est = face.fuse_orientation(s, e, self.prev_orientation)
-            orientation_label = est.label
-            self.prev_orientation = est.label
-            cx, cy = rect.center
-            self.track.push(cx, cy)
-            if len(self.track) >= 5:
-                jerk = face.estimate_jerk(self.track)
+        cues = self.faces.observe(face_frame)
+        if cues is None:
+            orientation_label, jerk, ratio = None, 0.0, 0.0
+        else:
+            rect, _, _, orientation_label, jerk = cues
             ratio = rect.w * rect.h / (face_frame.width * face_frame.height)
 
         mask = body.segment_foreground(self.background, body_frame)
@@ -105,7 +94,6 @@ def run_episode(cfg: EpisodeConfig):
         frames_dir = os.path.join(cfg.out_dir, "frames")
         os.makedirs(frames_dir, exist_ok=True)
 
-    committed: tuple[StateId, Routine] | None = None
     label_jerk_window: deque[tuple[float, float]] = deque(maxlen=5)
     # label mode sees the whole face ellipse's bounding box
     label_ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
@@ -114,8 +102,8 @@ def run_episode(cfg: EpisodeConfig):
         decision = tick % fpd == 0
 
         # 1. viewer stream
-        if decision and committed is not None:
-            s_prev, a_prev = committed
+        if decision and learner.previous is not None:
+            s_prev, a_prev = learner.previous
             vstate = viewer.step_viewer(profile, vstate, s_prev.routine, s_prev.attending, a_prev, rng_viewer)
         prompt = engine.state.game.prompted if engine.state.game.phase == "Prompted" else None
         vstate = viewer.frame_update(vstate, prompt, rng_viewer, profile.compliance)
@@ -124,8 +112,7 @@ def run_episode(cfg: EpisodeConfig):
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
             jerk = face.estimate_jerk(label_jerk_window) if len(label_jerk_window) == 5 else 0.0
-            yaw = vstate.yaw
-            orientation_label = "Frontal" if abs(yaw) < viewer.FRONTAL_YAW else ("Right" if yaw > 0 else "Left")
+            orientation_label = viewer.true_orientation(vstate.yaw)
             attention = evaluator.evaluate(orientation_label, jerk, vstate.gesture)
             ratio = label_ratio
         else:
@@ -161,8 +148,7 @@ def run_episode(cfg: EpisodeConfig):
             log.transitions.append((tick, old_routine.value, routine.value, cause))
 
         if decision:
-            committed = (state_now, engine.state.policy_routine)
-            learner.commit(*committed)
+            learner.commit(state_now, engine.state.policy_routine)
             log.decisions += 1
 
         log.rows.append(

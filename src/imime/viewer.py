@@ -28,6 +28,12 @@ FEATURE_INTENSITY = 40.0  # eyes and mouth
 BODY_INTENSITY = 160.0
 
 
+def true_orientation(yaw: float) -> str:
+    """The head-orientation label of a viewer at `yaw` degrees: Frontal
+    below FRONTAL_YAW, otherwise the side the head is turned to."""
+    return "Frontal" if abs(yaw) < FRONTAL_YAW else ("Right" if yaw > 0 else "Left")
+
+
 class UnknownPoseLabel(ValueError):
     pass
 

@@ -183,20 +183,14 @@ def test_criterion_5_policy_distribution():
 def test_criterion_6_vision_accuracy():
     scene = viewer.SceneConfig()  # default noise sigma 2
     rng = np.random.default_rng(61)
-    detector = face.BrightnessBlobDetector()
+    faces = face.FaceTracker()
 
     yaws = np.linspace(-45.0, 45.0, 1000)
-    prev = "Frontal"
     correct = 0
     for yaw in yaws:
         frame, _ = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
-        rect = detector.detect(frame)
-        s = face.symmetry_score(frame, rect)
-        e = face.edge_cog_offset(frame, rect)
-        est = face.fuse_orientation(s, e, prev)
-        prev = est.label
-        truth = "Frontal" if abs(yaw) < viewer.FRONTAL_YAW else ("Right" if yaw > 0 else "Left")
-        correct += est.label == truth
+        _, _, _, label, _ = faces.observe(frame)
+        correct += label == viewer.true_orientation(yaw)
     orientation_acc = correct / len(yaws)
 
     from imime import body
@@ -225,18 +219,18 @@ def test_criterion_6_vision_accuracy():
             phase += 1
         positions.append((x, 60.0))
     jerk_trace = []
-    track = face.HeadTrack()
+    track = []
     for x, y in positions:
-        track.push(x, y)
+        track.append((x, y))
         jerk_trace.append(face.estimate_jerk(track) if len(track) >= 5 else 0.0)
     burst_ok = max(jerk_trace[10:22]) > 12.0 and max(jerk_trace[40:52]) > 12.0
 
-    cubic_track = face.HeadTrack()
+    cubic_track = []
     cubic_max = 0.0
     for t in range(30):
         # gentle cubic drift, quantized to pixel centers like the renderer
         x = round(50 + 0.8 * t + 0.02 * t * t - 0.0005 * t**3)
-        cubic_track.push(float(x), 60.0)
+        cubic_track.append((float(x), 60.0))
         if len(cubic_track) >= 5:
             cubic_max = max(cubic_max, face.estimate_jerk(cubic_track))
     cubic_ok = cubic_max < 12.0
@@ -254,9 +248,7 @@ def test_criterion_6_vision_accuracy():
 
 def test_criterion_7_numerical_micro_checks():
     # 4th difference of t^4 is exactly 24
-    track = face.HeadTrack()
-    for i in range(5):
-        track.push(float(i**4), 0.0)
+    track = [(float(i**4), 0.0) for i in range(5)]
     jerk_ok = face.estimate_jerk(track) == 24.0
 
     rng = np.random.default_rng(71)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from imime import face
+from imime import face, viewer
 from imime.frames import DimensionMismatch, Frame
 
 
@@ -534,22 +534,19 @@ def test_edge_cog_sign_positive_for_right_mass():
 
 
 def test_fuse_perfect_frontal():
-    est = face.fuse_orientation(0.0, 0.0)
-    assert est.label == "Frontal" and est.confidence == 1.0
+    assert face.fuse_orientation(0.0, 0.0) == "Frontal"
 
 
 def test_fuse_both_cues_right():
-    assert face.fuse_orientation(0.9, 0.8).label == "Right"
+    assert face.fuse_orientation(0.9, 0.8) == "Right"
 
 
 def test_fuse_edge_cue_wins_on_disagreement():
-    est = face.fuse_orientation(0.02, 0.9)
-    assert est.label == "Right"
+    assert face.fuse_orientation(0.02, 0.9) == "Right"
 
 
 def test_fuse_hysteresis_on_silent_edge():
-    est = face.fuse_orientation(0.5, 0.0, prev_label="Left")
-    assert est.label == "Left"
+    assert face.fuse_orientation(0.5, 0.0, prev_label="Left") == "Left"
 
 
 @settings(max_examples=50, deadline=None)
@@ -564,10 +561,7 @@ def test_fuse_is_pure(s, e, prev):
 
 
 def _track_from(fn, n=5):
-    t = face.HeadTrack()
-    for i in range(n):
-        t.push(fn(i), 0.0)
-    return t
+    return [(float(fn(i)), 0.0) for i in range(n)]
 
 
 def test_jerk_constant_zero():
@@ -593,3 +587,74 @@ def test_jerk_annihilates_cubics(coeffs, n):
     a, b, c, d = coeffs
     track = _track_from(lambda i: a + b * i + c * i**2 + d * i**3, n=n)
     assert face.estimate_jerk(track) < 1e-9 * max(1.0, sum(abs(x) for x in coeffs))
+
+
+# --- FaceTracker ---------------------------------------------------------------------
+
+
+def reference_face_cues(frames):
+    """The detect -> orientation -> jerk chain as each caller wrote it out
+    before `FaceTracker`, over a whole frame sequence: per frame, None when
+    no face is found, else (rect, symmetry, edge offset, label, jerk)."""
+    detector = face.BrightnessBlobDetector()
+    prev_label = "Frontal"
+    track = []
+    out = []
+    for frame in frames:
+        rect = detector.detect(frame)
+        if rect is None:
+            out.append(None)
+            continue
+        s = face.symmetry_score(frame, rect)
+        e = face.edge_cog_offset(frame, rect)
+        prev_label = face.fuse_orientation(s, e, prev_label)
+        cx, cy = rect.center
+        track.append((float(cx), float(cy)))
+        jerk = face.estimate_jerk(track) if len(track) >= 5 else 0.0
+        out.append((rect, s, e, prev_label, jerk))
+    return out
+
+
+# one frame of a sequence: None for a frame with no face, "ramp" for a
+# bright rectangle with a gentle ramp, asymmetric but with no significant
+# edge, on which the label carries over, or a head pose, where `burst` adds
+# the erratic +-BURST_AMPLITUDE step of the viewer to x
+_face_step = st.one_of(
+    st.none(),
+    st.just("ramp"),
+    st.tuples(
+        st.floats(-45.0, 45.0),
+        st.floats(30.0, 100.0),
+        st.floats(30.0, 100.0),
+        st.sampled_from([0.0, viewer.BURST_AMPLITUDE, -viewer.BURST_AMPLITUDE]),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(_face_step, min_size=1, max_size=14),
+    size=st.sampled_from([(128, 128), (64, 72)]),
+    noise=st.sampled_from([0.0, 2.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_face_tracker_equals_reference_chain(steps, size, noise, seed):
+    width, height = size
+    scene = viewer.SceneConfig(width=width, height=height, noise_sigma=noise)
+    rng = np.random.default_rng(seed)
+    blank = np.full((height, width), int(scene.bg_intensity), dtype=np.uint8)
+    ramp = blank.copy()
+    ramp[20:60, 10:40] = 140 + 2 * np.arange(30)
+    frames = []
+    for step in steps:
+        if step is None:
+            frames.append(Frame(blank))
+        elif step == "ramp":
+            frames.append(Frame(ramp))
+        else:
+            yaw, x, y, burst = step
+            state = viewer.ViewerState(yaw=yaw, x=x + burst, y=y)
+            frames.append(viewer.synthesize_face_frame(state, scene, rng)[0])
+    tracker = face.FaceTracker()
+    assert [tracker.observe(f) for f in frames] == reference_face_cues(frames)
+

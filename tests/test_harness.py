@@ -352,6 +352,23 @@ def test_cli_analyze_dumped_frames(tmp_path, capsys):
     assert {r["expression"] for r in rows[1:]} <= {"Neutral", "Smile", "Frown"}
 
 
+# SHA-256 of the analysis.csv that `imime analyze` writes over the frames of
+# a 60-frame pixel episode (seed 5, erratic bursts, game prompting after 1 s)
+ANALYSIS_DIGEST = "1fa0923a716523d6e0337d8658553b2de9ae1e59912d92fd12d6b0fba2634190"
+
+
+def test_cli_analyze_output_unchanged(tmp_path, capsys):
+    out = tmp_path / "px"
+    ini = tmp_path / "px.ini"
+    ini.write_text(
+        f"[episode]\nmode = pixels\nsteps = 60\nseed = 5\nout = {out}\n"
+        "[behavior]\nt_idle = 1\nt_ponder = 0.5\n[profile]\nerratic_rate = 0.15\n"
+    )
+    assert cli.main(["run", "--config", str(ini), "--dump-frames"]) == 0
+    assert cli.main(["analyze", "--frames", str(out / "frames")]) == 0, capsys.readouterr().err
+    assert hashlib.sha256((out / "frames" / "analysis.csv").read_bytes()).hexdigest() == ANALYSIS_DIGEST
+
+
 def test_cli_config_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[episode]\nmode = dreams\n")

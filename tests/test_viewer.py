@@ -94,13 +94,13 @@ def test_frame_update_burst_produces_jerk_above_threshold():
     # reconstruct displayed positions including the burst offset is internal;
     # instead check via the rendered center proxy: jerk of raw x during burst
     # frames exceeds the erratic threshold, quiet frames stay below
-    track = face.HeadTrack()
+    track = []
     state = ViewerState(burst_left=viewer.BURST_LENGTH)
     jerks = []
     for _ in range(20):
         nxt = frame_update(state, None, rng)
         bx = nxt.x + (viewer.BURST_AMPLITUDE * (1 if state.burst_phase % 2 == 0 else -1) if state.burst_left > 0 else 0)
-        track.push(bx, nxt.y)
+        track.append((bx, nxt.y))
         jerks.append(face.estimate_jerk(track) if len(track) >= 5 else 0.0)
         state = nxt
     assert max(jerks[:10]) > 12.0
@@ -156,12 +156,18 @@ def test_frame_update_prompt_withdrawal_resets():
 # --- face synthesis ---------------------------------------------------------------
 
 
-def _orientation_of(frame, prev="Frontal"):
-    rect = face.BrightnessBlobDetector().detect(frame)
-    assert rect is not None
-    s = face.symmetry_score(frame, rect)
-    e = face.edge_cog_offset(frame, rect)
-    return face.fuse_orientation(s, e, prev).label
+def _orientation_of(frame):
+    cues = face.FaceTracker().observe(frame)
+    assert cues is not None
+    return cues[3]
+
+
+@pytest.mark.parametrize(
+    "yaw, label",
+    [(0.0, "Frontal"), (14.99, "Frontal"), (-14.99, "Frontal"), (15.0, "Right"), (-15.0, "Left"), (45.0, "Right")],
+)
+def test_true_orientation_splits_at_frontal_yaw(yaw, label):
+    assert viewer.true_orientation(yaw) == label
 
 
 def quiet_scene():
