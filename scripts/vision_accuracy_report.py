@@ -28,7 +28,7 @@ def main(argv=None):
     yaws = np.linspace(-45.0, 45.0, args.frames)
     confusion = {}
     for yaw in yaws:
-        frame, _ = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
+        frame = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
         cues = faces.observe(frame)
         if cues is None:
             continue
@@ -42,13 +42,11 @@ def main(argv=None):
         mark = "" if t == p else "  <-- miss"
         print(f"  truth {t:8s} -> {p:8s}: {v}{mark}")
 
-    bg = body.train_background(
-        [viewer.synthesize_body_frame(None, scene, rng)[0] for _ in range(10)]
-    )
+    bg = body.train_background([viewer.synthesize_body_frame(None, scene, rng) for _ in range(10)])
     refs = viewer.build_pose_references(scene)
     print("\npose classification (noisy silhouettes):")
     for label in viewer.POSE_LABELS:
-        frame, _ = viewer.synthesize_body_frame(label, scene, rng)
+        frame = viewer.synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
         got = body.classify_pose(body.drape(mask), refs)
         print(f"  {label:15s} -> {got:15s} {'ok' if got == label else 'MISS'}")

@@ -54,7 +54,6 @@ class GameState:
 @dataclass
 class BehaviorState:
     current: Routine = Routine.IdleGazeWander
-    routine_entered_at: int = 0
     policy_routine: Routine = Routine.IdleGazeWander
     game: GameState = field(default_factory=GameState)
     last_interaction_at: int = 0
@@ -182,8 +181,6 @@ class BehaviorEngine:
             new = st.policy_routine
             if st.current != new:
                 cause = "policy"  # releasing an override back to the policy routine
-        if new != st.current:
-            st.current = new
-            st.routine_entered_at = tick
+        st.current = new
         st.face_was_present = attention.face_present
         return st.current, cause

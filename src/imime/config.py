@@ -13,6 +13,7 @@ import numpy as np
 
 from .attention import FusionConfig
 from .behavior import BehaviorConfig, Routine
+from .face import FACE_THRESHOLD
 from .learning import PolicyConfig
 from .viewer import SceneConfig, SceneError, ViewerProfile, default_profile
 
@@ -52,6 +53,12 @@ class EpisodeConfig:
     def validate(self) -> "EpisodeConfig":
         if self.mode not in ("labels", "pixels"):
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
+        # a background as bright as a face reads as one face filling the frame
+        if self.mode == "pixels" and not self.scene.bg_intensity < FACE_THRESHOLD:
+            raise ConfigError(
+                "scene.bg_intensity",
+                f"must be below the face threshold {FACE_THRESHOLD} in pixel mode (got {self.scene.bg_intensity})",
+            )
         if self.steps < 1:
             raise ConfigError("episode.steps", "steps must be >= 1")
         if self.seed < 0:

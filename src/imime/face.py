@@ -41,6 +41,7 @@ BLOCK_SIZE = 8
 SEARCH_RADIUS = 7
 
 MIN_FACE_SIDE = 14
+FACE_THRESHOLD = 130.0  # BrightnessBlobDetector's default: pixels at or above it are face
 
 # canonical expression references for the 14-dim characteristic flow:
 # smile = outward+up mouth flow with cheek lift, frown = downward mouth/brow
@@ -351,7 +352,7 @@ class BrightnessBlobDetector:
     """Injected face-finder stand-in for synthetic frames: bounding box of
     the largest bright blob, grown to the minimum legal face size."""
 
-    def __init__(self, threshold: float = 130.0):
+    def __init__(self, threshold: float = FACE_THRESHOLD):
         self.threshold = threshold
 
     def detect(self, frame: Frame) -> FaceRect | None:

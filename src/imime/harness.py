@@ -32,11 +32,9 @@ CURVE_WINDOW = 100  # decisions per attention-fraction window of the learning cu
 
 @dataclass
 class EpisodeLog:
-    gamma: float
     rows: list = field(default_factory=list)  # per-frame dicts
     transitions: list = field(default_factory=list)  # (tick, old, new, cause)
     decisions: int = 0
-    initial_state: StateId | None = None
 
     def decision_rows(self) -> list:
         return [r for r in self.rows if r["decision"]]
@@ -48,7 +46,7 @@ class PixelPipeline:
     def __init__(self, cfg: EpisodeConfig, noise_rng: np.random.Generator):
         self.faces = face.FaceTracker()
         bg_frames = [
-            viewer.synthesize_body_frame(None, cfg.scene, noise_rng)[0]
+            viewer.synthesize_body_frame(None, cfg.scene, noise_rng)
             for _ in range(BACKGROUND_TRAINING_FRAMES)
         ]
         self.background = body.train_background(bg_frames)
@@ -88,7 +86,7 @@ def run_episode(cfg: EpisodeConfig):
     pipeline = PixelPipeline(cfg, rng_noise) if cfg.mode == "pixels" else None
 
     fpd = cfg.frames_per_decision
-    log = EpisodeLog(gamma=cfg.learning.gamma)
+    log = EpisodeLog()
     frames_dir = None
     if cfg.dump_frames:
         frames_dir = os.path.join(cfg.out_dir, "frames")
@@ -98,52 +96,49 @@ def run_episode(cfg: EpisodeConfig):
     # label mode sees the whole face ellipse's bounding box
     label_ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
 
+    # the scheduler consults the policy only on decision ticks, in the state
+    # of that tick; a decision counts as explored only when the policy was
+    # consulted and explored
+    def policy_fn():
+        nonlocal explored
+        action, explored = learner.choose(state_now, rng_eps)
+        return action
+
     for tick in range(cfg.steps):
         decision = tick % fpd == 0
 
         # 1. viewer stream
         if decision and learner.previous is not None:
             s_prev, a_prev = learner.previous
-            vstate = viewer.step_viewer(profile, vstate, s_prev.routine, s_prev.attending, a_prev, rng_viewer)
+            viewer.step_viewer(profile, vstate, s_prev.routine, s_prev.attending, a_prev, rng_viewer)
         prompt = engine.state.game.prompted if engine.state.game.phase == "Prompted" else None
-        vstate = viewer.frame_update(vstate, prompt, rng_viewer, profile.compliance)
+        viewer.frame_update(vstate, prompt, rng_viewer, profile.compliance)
 
         # 2. perception
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
             jerk = face.estimate_jerk(label_jerk_window) if len(label_jerk_window) == 5 else 0.0
             orientation_label = viewer.true_orientation(vstate.yaw)
-            attention = evaluator.evaluate(orientation_label, jerk, vstate.gesture)
+            attention = evaluator.evaluate(orientation_label, jerk, vstate.pose)
             ratio = label_ratio
         else:
-            face_frame, _ = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
-            body_frame, _ = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)
+            face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
+            body_frame = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)
             if frames_dir is not None:
                 write_pgm(face_frame, os.path.join(frames_dir, f"face_{tick:06d}.pgm"))
                 write_pgm(body_frame, os.path.join(frames_dir, f"body_{tick:06d}.pgm"))
             attention, ratio, jerk, orientation_label = pipeline.process(face_frame, body_frame, evaluator)
 
         # 3. learning at the decision tick: attribute reward, refresh model/values
-        state_now = StateId(engine.state.policy_routine, attention.attending)
         if decision:
-            if log.initial_state is None:
-                log.initial_state = state_now
+            state_now = StateId(engine.state.policy_routine, attention.attending)
             learner.observe(attention)
 
         # 4. behavior arbitration (scheduler coin from the scheduler stream,
-        #    epsilon draw from the policy stream); a decision counts as
-        #    explored only when the policy was consulted and explored
+        #    epsilon draw from the policy stream)
         explored = False
-
-        def policy_fn():
-            nonlocal explored
-            action, explored = learner.choose(state_now, rng_eps)
-            return action
-
         old_routine = engine.state.current
-        routine, cause = engine.frame_step(
-            attention, ratio, tick, rng_sched, decision=decision, policy_fn=policy_fn
-        )
+        routine, cause = engine.frame_step(attention, ratio, tick, rng_sched, decision=decision, policy_fn=policy_fn)
         if routine != old_routine:
             log.transitions.append((tick, old_routine.value, routine.value, cause))
 
@@ -216,19 +211,14 @@ def oracle_policy(profile: viewer.ViewerProfile, gamma: float, tol: float = 1e-1
 def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) -> dict:
     decision_rows = log.decision_rows()
     rewards = [r["reward"] for r in decision_rows]
-    gamma = log.gamma
+    gamma = learner.cfg.gamma
 
     window = CURVE_WINDOW
-    window_fractions = [
-        float(np.mean(rewards[i : i + window])) for i in range(0, len(rewards), window) if rewards[i : i + window]
-    ]
+    window_fractions = [float(np.mean(rewards[i : i + window])) for i in range(0, len(rewards), window)]
     realized = sum(r * gamma**i for i, r in enumerate(rewards))
     policy, values = oracle_policy(profile, gamma)
-    if log.initial_state is not None:
-        s0 = (log.initial_state.routine, log.initial_state.attending)
-        oracle_value = values[s0]
-    else:
-        oracle_value = float(np.mean(list(values.values())))
+    # tick 0 is a decision tick, taken in the engine's initial policy routine
+    oracle_value = values[(profile.routines[0], bool(decision_rows[0]["attending"]))]
 
     agreement = 0
     states = [(r, att) for r in profile.routines for att in (False, True)]
@@ -240,11 +230,11 @@ def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) ->
         "decisions": len(decision_rows),
         "cumulative_reward": int(sum(rewards)),
         "attention_fraction_windows": window_fractions,
-        "final_window_attention": window_fractions[-1] if window_fractions else 0.0,
+        "final_window_attention": window_fractions[-1],
         "discounted_return": realized,
         "oracle_value": oracle_value,
         "regret": oracle_value - realized,
-        "exploration_rate": float(np.mean([r["explore"] for r in decision_rows])) if decision_rows else 0.0,
+        "exploration_rate": float(np.mean([r["explore"] for r in decision_rows])),
         "greedy_agreement": agreement / len(states),
     }
 

@@ -111,10 +111,9 @@ class PolicyConfig:
 
 
 class QTable:
-    def __init__(self, routines: tuple[Routine, ...], gamma: float, q: np.ndarray | None = None):
+    def __init__(self, routines: tuple[Routine, ...], q: np.ndarray | None = None):
         self.routines = tuple(routines)
         self.index = {r: i for i, r in enumerate(self.routines)}
-        self.gamma = gamma
         n = len(self.routines)
         self.q = np.zeros((n, 2, n)) if q is None else np.asarray(q, float)
 
@@ -193,7 +192,7 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
         for k, r in enumerate(resid.tolist()):
             residuals.append(r)
             if r < tol:
-                table = QTable(model.routines, gamma, sweeps[k + 1].reshape(n, 2, n).copy())
+                table = QTable(model.routines, sweeps[k + 1].reshape(n, 2, n).copy())
                 table.residuals = residuals
                 return table
         q = sweeps[valid]

@@ -1,11 +1,11 @@
 """Ground-truth stochastic viewer and synthetic frame generator: closes the
 interaction loop without cameras. Supplies attention labels directly (label
-mode) or rendered face/body frames plus per-frame ground truth (pixel mode)."""
+mode) or rendered face/body frames (pixel mode)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,21 +78,20 @@ def default_profile() -> ViewerProfile:
 
 @dataclass
 class ViewerState:
-    attending: bool = False
+    """The simulated viewer, updated in place by `step_viewer` and
+    `frame_update`. The viewer attends exactly when
+    `true_orientation(yaw)` is Frontal, and gestures whenever `pose` is not
+    ArmsDown."""
+
     yaw: float = 30.0  # degrees, positive turns toward the Right label
     x: float = 64.0
     y: float = 60.0
-    gesture: str | None = None
     pose: str = "ArmsDown"
     burst_left: int = 0
     burst_phase: int = 0
     active_prompt: str | None = None
     will_comply: bool = False
     respond_in: int = 0
-
-    def __post_init__(self):
-        if self.attending and abs(self.yaw) >= FRONTAL_YAW:
-            raise ValueError("attending viewer must face the display")
 
 
 @dataclass
@@ -124,78 +123,49 @@ def step_viewer(
     s_attending: bool,
     action: Routine,
     rng: np.random.Generator,
-) -> ViewerState:
+) -> None:
     """Decision-tick transition: resample the attend bit from the true model,
     redraw the head yaw accordingly, and maybe start an erratic burst."""
-    p = profile.prob(s_routine, s_attending, action)
-    attending = bool(rng.random() < p)
-    if attending:
-        yaw = min(max(rng.normal(0.0, 3.0), -10.0), 10.0)
+    if rng.random() < profile.prob(s_routine, s_attending, action):
+        state.yaw = min(max(rng.normal(0.0, 3.0), -10.0), 10.0)
     else:
-        yaw = float(rng.uniform(20.0, 45.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-    burst = state.burst_left
+        state.yaw = float(rng.uniform(20.0, 45.0)) * (1.0 if rng.random() < 0.5 else -1.0)
     if profile.erratic_rate > 0 and rng.random() < profile.erratic_rate:
-        burst = BURST_LENGTH
-    return replace(state, attending=attending, yaw=yaw, burst_left=burst)
+        state.burst_left = BURST_LENGTH
 
 
-def frame_update(
-    state: ViewerState,
-    prompt: str | None,
-    rng: np.random.Generator,
-    compliance: float = 0.9,
-) -> ViewerState:
+def frame_update(state: ViewerState, prompt: str | None, rng: np.random.Generator, compliance: float) -> None:
     """Per-frame viewer dynamics: position jitter, erratic bursts, and the
     delayed compliant response to a gesture prompt."""
-    x = state.x + float(rng.normal(0.0, 0.3))
-    y = state.y + float(rng.normal(0.0, 0.3))
-    x = min(max(x, 40.0), 88.0)
-    y = min(max(y, 40.0), 80.0)
-    burst_left, burst_phase = state.burst_left, state.burst_phase
-    if burst_left > 0:
-        x += BURST_AMPLITUDE * (1.0 if burst_phase % 2 == 0 else -1.0)
-        burst_left -= 1
-        burst_phase += 1
+    state.x = min(max(state.x + float(rng.normal(0.0, 0.3)), 40.0), 88.0)
+    state.y = min(max(state.y + float(rng.normal(0.0, 0.3)), 40.0), 80.0)
+    if state.burst_left > 0:
+        state.x += BURST_AMPLITUDE * (1.0 if state.burst_phase % 2 == 0 else -1.0)
+        state.burst_left -= 1
+        state.burst_phase += 1
 
-    active_prompt, will_comply, respond_in = state.active_prompt, state.will_comply, state.respond_in
-    if prompt != active_prompt:
-        active_prompt = prompt
+    if prompt != state.active_prompt:
+        state.active_prompt = prompt
         if prompt is not None:
-            will_comply = bool(rng.random() < compliance)
-            respond_in = RESPONSE_DELAY
+            state.will_comply = bool(rng.random() < compliance)
+            state.respond_in = RESPONSE_DELAY
         else:
-            will_comply, respond_in = False, 0
-    gesture: str | None = None
-    pose = "ArmsDown"
-    if active_prompt is not None and will_comply:
-        if respond_in > 0:
-            respond_in -= 1
+            state.will_comply, state.respond_in = False, 0
+    state.pose = "ArmsDown"
+    if prompt is not None and state.will_comply:
+        if state.respond_in > 0:
+            state.respond_in -= 1
         else:
-            gesture = active_prompt
-            pose = active_prompt
-    return replace(
-        state,
-        x=x,
-        y=y,
-        burst_left=burst_left,
-        burst_phase=burst_phase,
-        active_prompt=active_prompt,
-        will_comply=will_comply,
-        respond_in=respond_in,
-        gesture=gesture,
-        pose=pose,
-    )
+            state.pose = prompt
 
 
 # --- frame synthesis -----------------------------------------------------------
 
 
-def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random.Generator):
+def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random.Generator) -> Frame:
     """Render the face view: noisy background, bright head ellipse, dark eye
     and mouth features shifted by yaw, and a lateral shading gradient whose
-    strength grows monotonically with |yaw|.
-
-    Returns (Frame, ground truth dict with face_rect, yaw, attending)."""
+    strength grows monotonically with |yaw|."""
     h, w = scene.height, scene.width
     img = np.full((h, w), scene.bg_intensity)
     if scene.noise_sigma > 0:
@@ -223,10 +193,7 @@ def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random
     bar = (np.abs(xs - (cx + shift)) <= mouth_hw) & (np.abs(ys - mouth_y) <= 1)
     box[bar & inside] = FEATURE_INTENSITY
 
-    frame = Frame(np.clip(img, 0, 255).astype(np.uint8))
-    rect = (cx - ax, cy - ay, 2 * ax + 1, 2 * ay + 1)
-    truth = {"face_rect": rect, "yaw": state.yaw, "attending": state.attending}
-    return frame, truth
+    return Frame(np.clip(img, 0, 255).astype(np.uint8))
 
 
 def silhouette_top_contour(label: str, scene: SceneConfig) -> np.ndarray:
@@ -272,7 +239,7 @@ def silhouette_mask(label: str, scene: SceneConfig) -> np.ndarray:
     return ys >= top[None, :]
 
 
-def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.random.Generator):
+def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.random.Generator) -> Frame:
     """Render the body view: the pose silhouette composited over the noisy
     background. Pose None renders background only."""
     h, w = scene.height, scene.width
@@ -282,8 +249,7 @@ def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.ra
     if state_pose is not None:
         mask = silhouette_mask(state_pose, scene)
         img[mask] = BODY_INTENSITY
-    frame = Frame(np.clip(img, 0, 255).astype(np.uint8))
-    return frame, state_pose
+    return Frame(np.clip(img, 0, 255).astype(np.uint8))
 
 
 def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReference]:

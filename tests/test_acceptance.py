@@ -151,7 +151,7 @@ def test_criterion_4_value_oracle_equivalence():
 
 def test_criterion_5_policy_distribution():
     routines = (Routine.Beckon, Routine.Mimic, Routine.Ponder, Routine.PromptGesture)
-    q = QTable(routines, 0.9, np.zeros((4, 2, 4)))
+    q = QTable(routines, np.zeros((4, 2, 4)))
     q.q[0, 1] = [0.2, 0.9, 0.1, 0.4]
     s = StateId(Routine.Beckon, True)
     rng = np.random.default_rng(101)
@@ -188,18 +188,18 @@ def test_criterion_6_vision_accuracy():
     yaws = np.linspace(-45.0, 45.0, 1000)
     correct = 0
     for yaw in yaws:
-        frame, _ = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
+        frame = viewer.synthesize_face_frame(viewer.ViewerState(yaw=float(yaw)), scene, rng)
         _, _, _, label, _ = faces.observe(frame)
         correct += label == viewer.true_orientation(yaw)
     orientation_acc = correct / len(yaws)
 
     from imime import body
 
-    bg = body.train_background([viewer.synthesize_body_frame(None, scene, rng)[0] for _ in range(10)])
+    bg = body.train_background([viewer.synthesize_body_frame(None, scene, rng) for _ in range(10)])
     refs = viewer.build_pose_references(scene)
     pose_hits = 0
     for label in viewer.POSE_LABELS:
-        frame, _ = viewer.synthesize_body_frame(label, scene, rng)
+        frame = viewer.synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
         pose_hits += body.classify_pose(body.drape(mask), refs) == label
 

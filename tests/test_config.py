@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import cli, config
+from imime import cli, config, harness
 from imime.behavior import Routine
 from imime.config import ConfigError, EpisodeConfig, load_config
 
@@ -195,6 +195,27 @@ def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
     assert cli.main(["run", "--config", path, "--steps", "200", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("config error: behavior.t_resp:")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bg", ["130", "150", "255"])
+def test_background_as_bright_as_a_face_rejected_in_pixel_mode_only(tmp_path, capsys, bg):
+    # at or above the face detector's threshold the whole frame reads as one face
+    path = write(tmp_path, f"[scene]\nbg_intensity = {bg}\nnoise_sigma = 0\n")
+    argv = ["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]
+    assert cli.main(argv + ["--mode", "pixels"]) == 2
+    assert capsys.readouterr().err.startswith("config error: scene.bg_intensity:")
+    assert not (tmp_path / "run").exists()
+    # label mode renders no frames, so the value is harmless there
+    assert cli.main(argv) == 0
+
+
+def test_background_just_below_the_face_threshold_agrees_with_label_mode(tmp_path):
+    path = write(tmp_path, "[scene]\nbg_intensity = 129.9\nnoise_sigma = 0\n")
+    (labels, _), (pixels, _) = (
+        harness.run_episode(load_config(path, {"mode": mode, "steps": 200, "seed": 3})) for mode in ("labels", "pixels")
+    )
+    for column in ("attending", "orientation", "routine"):
+        assert [r[column] for r in labels.rows] == [r[column] for r in pixels.rows], column
 
 
 @pytest.mark.parametrize(

@@ -654,7 +654,7 @@ def test_face_tracker_equals_reference_chain(steps, size, noise, seed):
         else:
             yaw, x, y, burst = step
             state = viewer.ViewerState(yaw=yaw, x=x + burst, y=y)
-            frames.append(viewer.synthesize_face_frame(state, scene, rng)[0])
+            frames.append(viewer.synthesize_face_frame(state, scene, rng))
     tracker = face.FaceTracker()
     assert [tracker.observe(f) for f in frames] == reference_face_cues(frames)
 

@@ -78,10 +78,9 @@ def test_label_mode_jerk_equals_array_form(monkeypatch):
     positions, jerks = [], []
     frame_update, evaluate = viewer.frame_update, AttentionEvaluator.evaluate
 
-    def recording_frame_update(*args, **kwargs):
-        state = frame_update(*args, **kwargs)
+    def recording_frame_update(state, *args, **kwargs):
+        frame_update(state, *args, **kwargs)
         positions.append((state.x, state.y))
-        return state
 
     def recording_evaluate(self, orientation_label, jerk, gesture):
         jerks.append(jerk)
@@ -308,6 +307,24 @@ def test_save_episode_writes_all_artifacts(tmp_path):
     assert len(rows) == 100
     assert list(rows[0].keys()) == harness.LOG_FIELDS
     assert summary["decisions"] == 5
+
+
+@pytest.mark.parametrize("mode", ["labels", "pixels"])
+def test_one_frame_episode_scores_its_first_state(tmp_path, mode):
+    # the smallest episode: one decision tick, taken in the first routine
+    cfg, log, learner = run(steps=1, mode=mode, out_dir=str(tmp_path / "ep"))
+    summary = harness.save_episode(cfg, log, learner)
+    assert summary == harness.metrics(log, learner, cfg.profile)
+    _, values = harness.oracle_policy(cfg.profile, cfg.learning.gamma)
+    attending = bool(log.rows[0]["attending"])
+    assert summary["oracle_value"] == values[(cfg.profile.routines[0], attending)]
+    assert summary["decisions"] == 1 and summary["discounted_return"] == int(attending)
+    assert summary["attention_fraction_windows"] == [float(attending)]
+    assert summary["final_window_attention"] == float(attending)
+    assert summary["exploration_rate"] == log.rows[0]["explore"]
+    with open(tmp_path / "ep" / "metrics.csv", newline="") as f:
+        written = dict(csv.reader(f))
+    assert float(written["oracle_value"]) == summary["oracle_value"]
 
 
 # --- CLI ------------------------------------------------------------------------------------

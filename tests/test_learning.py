@@ -214,7 +214,7 @@ def _value_case(draw):
         p = np.full((n, 2, n), 0.5)
     q0 = None
     if draw(st.booleans()):
-        q0 = QTable(R4[:n], 0.9, rng.normal(0.0, 5.0, (n, 2, n)))
+        q0 = QTable(R4[:n], rng.normal(0.0, 5.0, (n, 2, n)))
     # gamma 0 converges in two sweeps; 0.99 and 0.999 need more than VI_BATCH
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]))
     tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
@@ -310,8 +310,8 @@ def test_value_iteration_zero_evidence_is_symmetric():
 def test_greedy_invariant_under_positive_affine_q():
     rng = np.random.default_rng(31)
     qa = rng.random((4, 2, 4))
-    t1 = QTable(R4, 0.9, qa)
-    t2 = QTable(R4, 0.9, 3.0 * qa + 11.0)
+    t1 = QTable(R4, qa)
+    t2 = QTable(R4, 3.0 * qa + 11.0)
     for r in R4:
         for att in (False, True):
             s = StateId(r, att)
@@ -322,7 +322,7 @@ def test_greedy_invariant_under_positive_affine_q():
 
 
 def test_select_action_frequencies():
-    q = QTable(R4, 0.9, np.zeros((4, 2, 4)))
+    q = QTable(R4, np.zeros((4, 2, 4)))
     q.q[0, 1] = [0.1, 0.9, 0.2, 0.3]  # argmax: Mimic
     s = StateId(Routine.Beckon, True)
     rng = np.random.default_rng(41)
@@ -336,7 +336,7 @@ def test_select_action_frequencies():
 
 
 def test_select_action_ties_break_to_lowest_index():
-    q = QTable(R4, 0.9, np.zeros((4, 2, 4)))
+    q = QTable(R4, np.zeros((4, 2, 4)))
     s = StateId(Routine.Beckon, False)
     assert q.greedy(s) == Routine.Beckon
     rng = np.random.default_rng(0)
@@ -345,7 +345,7 @@ def test_select_action_ties_break_to_lowest_index():
 
 
 def test_select_action_epsilon_one_never_greedy():
-    q = QTable(R4, 0.9, np.zeros((4, 2, 4)))
+    q = QTable(R4, np.zeros((4, 2, 4)))
     q.q[0, 0] = [0.0, 1.0, 0.0, 0.0]
     s = StateId(Routine.Beckon, False)
     rng = np.random.default_rng(2)
@@ -354,7 +354,7 @@ def test_select_action_epsilon_one_never_greedy():
 
 
 def test_select_action_single_action():
-    q = QTable((Routine.Mimic,), 0.9, np.zeros((1, 2, 1)))
+    q = QTable((Routine.Mimic,), np.zeros((1, 2, 1)))
     rng = np.random.default_rng(3)
     assert select_action(q, StateId(Routine.Mimic, True), 0.5, rng) == Routine.Mimic
 
