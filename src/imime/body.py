@@ -98,6 +98,18 @@ def segment_foreground(model: BackgroundModel, frame: Frame, tau_mahal: float = 
     return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:] >= 5
 
 
+def supports(mask: np.ndarray) -> np.ndarray:
+    """Settle limit of each column, as floats: the row of its topmost
+    foreground pixel, or the frame height when the column is empty. `drape`
+    reads the mask through these alone."""
+    h, w = mask.shape
+    limits = np.full(w, float(h))
+    cols = mask.any(axis=0)
+    if cols.any():
+        limits[cols] = mask.argmax(axis=0)[cols].astype(float)
+    return limits
+
+
 def drape(
     mask: np.ndarray,
     gravity: float = DRAPE_GRAVITY,
@@ -116,11 +128,7 @@ def drape(
     history buffer, and that test is made once per DRAPE_BATCH of them.
     """
     h, w = mask.shape
-    # settle limit per column: row of the topmost foreground pixel, else the floor
-    limits = np.full(w, float(h))
-    cols = mask.any(axis=0)
-    if cols.any():
-        limits[cols] = mask.argmax(axis=0)[cols].astype(float)
+    limits = supports(mask)
     # Free fall: while the level cloth stays above every support, each
     # iteration adds exactly `gravity` to every node (the neighbor term is
     # 0.0), so those iterations run on one float, summed as the loop sums.

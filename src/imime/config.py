@@ -59,6 +59,9 @@ class EpisodeConfig:
                 "scene.bg_intensity",
                 f"must be below the face threshold {FACE_THRESHOLD} in pixel mode (got {self.scene.bg_intensity})",
             )
+        # label mode renders no frames to dump
+        if self.dump_frames and self.mode != "pixels":
+            raise ConfigError("episode.dump_frames", f"needs pixel mode (mode is {self.mode})")
         if self.steps < 1:
             raise ConfigError("episode.steps", "steps must be >= 1")
         if self.seed < 0:

@@ -28,6 +28,7 @@ from .learning import Learner, StateId
 
 BACKGROUND_TRAINING_FRAMES = 10
 CURVE_WINDOW = 100  # decisions per attention-fraction window of the learning curve
+GESTURE_MEMO_SIZE = 64  # distinct body supports a PixelPipeline keeps labels for
 
 
 @dataclass
@@ -41,7 +42,15 @@ class EpisodeLog:
 
 
 class PixelPipeline:
-    """Full vision stack over synthesized frames."""
+    """Full vision stack over synthesized frames.
+
+    `drape` reads a mask only through its column supports, the mask shape
+    and the pose references are fixed per pipeline, and `classify_pose`
+    reads only the profile and the references, so equal supports give equal
+    gestures. `gestures` maps `body.supports(mask).tobytes()` to the label
+    that mask was classified as; it holds at most GESTURE_MEMO_SIZE entries
+    and drops the oldest one when full.
+    """
 
     def __init__(self, cfg: EpisodeConfig, noise_rng: np.random.Generator):
         self.faces = face.FaceTracker()
@@ -51,6 +60,7 @@ class PixelPipeline:
         ]
         self.background = body.train_background(bg_frames)
         self.pose_refs = viewer.build_pose_references(cfg.scene)
+        self.gestures: dict[bytes, str] = {}
 
     def process(self, face_frame, body_frame, evaluator: AttentionEvaluator):
         cues = self.faces.observe(face_frame)
@@ -63,7 +73,13 @@ class PixelPipeline:
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
         if mask.mean() >= 0.01:
-            gesture = body.classify_pose(body.drape(mask), self.pose_refs)
+            key = body.supports(mask).tobytes()
+            gesture = self.gestures.get(key)
+            if gesture is None:
+                gesture = body.classify_pose(body.drape(mask), self.pose_refs)
+                if len(self.gestures) == GESTURE_MEMO_SIZE:
+                    del self.gestures[next(iter(self.gestures))]
+                self.gestures[key] = gesture
 
         attention = evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
         return attention, ratio, jerk, orientation_label

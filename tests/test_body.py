@@ -190,14 +190,21 @@ def test_pearson_bounds_and_symmetry():
 # --- bit identity with the plain implementations --------------------------------------
 
 
-def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
-    """`body.drape` as a plain loop: every iteration, each tested for
-    convergence, no free-fall shortcut."""
+def reference_supports(mask):
+    """`body.supports` as it stood inline at the top of `drape`."""
     h, w = mask.shape
     limits = np.full(w, float(h))
     cols = mask.any(axis=0)
     if cols.any():
         limits[cols] = mask.argmax(axis=0)[cols].astype(float)
+    return limits
+
+
+def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
+    """`body.drape` as a plain loop: every iteration, each tested for
+    convergence, no free-fall shortcut."""
+    h, w = mask.shape
+    limits = reference_supports(mask)
     y = np.zeros(w)
     for _ in range(max_iters):
         fallen = np.minimum(y + gravity, limits)
@@ -298,6 +305,17 @@ def test_segment_foreground_equals_reference(h, w, seed, spread, tau_mahal):
 def test_drape_bit_identical_to_reference(mask, gravity, coupling, tol, max_iters):
     got = body.drape(mask, gravity, coupling, tol, max_iters)
     assert got.tobytes() == reference_drape(mask, gravity, coupling, tol, max_iters).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=drape_masks())
+def test_drape_reads_the_mask_only_through_its_supports(mask):
+    limits = body.supports(mask)
+    assert limits.dtype == np.float64 and limits.tobytes() == reference_supports(mask).tobytes()
+    # the silhouette with the same supports: each column solid from its support down
+    solid = np.arange(mask.shape[0])[:, None] >= limits
+    assert body.supports(solid).tobytes() == limits.tobytes()
+    assert body.drape(solid).tobytes() == body.drape(mask).tobytes()
 
 
 @pytest.mark.parametrize("max_iters", [60, 2 * body.DRAPE_BATCH, 2 * body.DRAPE_BATCH + 1])

@@ -209,6 +209,20 @@ def test_background_as_bright_as_a_face_rejected_in_pixel_mode_only(tmp_path, ca
     assert cli.main(argv) == 0
 
 
+@pytest.mark.parametrize("via", ["ini", "flag"])
+def test_dump_frames_rejected_in_label_mode_only(tmp_path, capsys, via):
+    # label mode renders no frames; it used to exit 0 leaving an empty frames/
+    path = write(tmp_path, "[episode]\ndump_frames = yes\n" if via == "ini" else "[episode]\n")
+    argv = ["run", "--config", path, "--steps", "10", "--out", str(tmp_path / "run")]
+    argv += ["--dump-frames"] if via == "flag" else []
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: episode.dump_frames:")
+    assert not (tmp_path / "run").exists()
+    # pixel mode still dumps every frame
+    assert cli.main(argv + ["--mode", "pixels"]) == 0
+    assert len(list((tmp_path / "run" / "frames").glob("body_*.pgm"))) == 10
+
+
 def test_background_just_below_the_face_threshold_agrees_with_label_mode(tmp_path):
     path = write(tmp_path, "[scene]\nbg_intensity = 129.9\nnoise_sigma = 0\n")
     (labels, _), (pixels, _) = (

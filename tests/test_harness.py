@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import cli, face, harness, viewer
+from imime import body, cli, face, harness, viewer
 from imime.attention import AttentionEvaluator
 from imime.behavior import BehaviorEngine, Routine
 from imime.config import load_config
@@ -144,6 +144,73 @@ def test_pixel_episode_files_unchanged(tmp_path, capsys, seed, erratic_rate, sce
     for name in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv"):
         h.update((out / name).read_bytes())
     assert h.hexdigest() == digest
+
+
+class GestureSpy:
+    """Passes each frame's cues on to the episode's evaluator and keeps the
+    gesture the pipeline gave it."""
+
+    def __init__(self, evaluator):
+        self.evaluator, self.gesture = evaluator, "not called"
+
+    def evaluate(self, orientation_label, jerk, gesture):
+        self.gesture = gesture
+        return self.evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
+
+
+@pytest.mark.parametrize(
+    "scene, steps, evicts",
+    [
+        ("", 200, False),
+        (SMALL_SCENE, 200, False),
+        ("[scene]\nnoise_sigma = 0\n", 200, False),
+        ("[scene]\nnoise_sigma = 8\n", 300, True),
+        ("[scene]\nnoise_sigma = 25\n", 300, True),
+    ],
+)
+def test_memoized_gestures_equal_a_fresh_classification(tmp_path, monkeypatch, scene, steps, evicts):
+    process = harness.PixelPipeline.process
+    seen, frames = set(), []
+
+    def checked(self, face_frame, body_frame, evaluator):
+        spy = GestureSpy(evaluator)
+        result = process(self, face_frame, body_frame, spy)
+        mask = body.segment_foreground(self.background, body_frame)
+        fresh = None
+        if mask.mean() >= 0.01:
+            fresh = body.classify_pose(body.drape(mask), self.pose_refs)
+            seen.add(body.supports(mask).tobytes())
+        assert spy.gesture == fresh
+        assert len(self.gestures) <= harness.GESTURE_MEMO_SIZE
+        frames.append(fresh)
+        return result
+
+    monkeypatch.setattr(harness.PixelPipeline, "process", checked)
+    ini = tmp_path / "memo.ini"
+    ini.write_text("[behavior]\nt_idle = 1\nt_ponder = 0.5\n[profile]\nerratic_rate = 0.15\n" + scene)
+    log, _ = harness.run_episode(load_config(str(ini), {"mode": "pixels", "steps": steps, "seed": 7}))
+    assert len(frames) == len(log.rows) == steps
+    assert len({g for g in frames if g is not None}) > 1  # more than one gesture was classified
+    if evicts:  # more distinct supports than the memo holds: it filled and dropped entries
+        assert len(seen) > harness.GESTURE_MEMO_SIZE
+
+
+def test_mirrored_poses_keep_their_own_gestures():
+    # LeftArmRaised and RightArmRaised are mirror images: their masks have
+    # equal pixel counts and their supports equal sums, so only the whole
+    # support vector tells them apart
+    cfg = load_config(None, {"mode": "pixels"})
+    cfg.scene = viewer.SceneConfig(noise_sigma=0.0)
+    rng = np.random.default_rng(0)
+    pipeline = harness.PixelPipeline(cfg, rng)
+    face_frame = viewer.synthesize_face_frame(viewer.ViewerState(), cfg.scene, rng)
+    spy = GestureSpy(AttentionEvaluator(cfg.fusion))
+    got = []
+    for label in viewer.POSE_LABELS * 2:
+        pipeline.process(face_frame, viewer.synthesize_body_frame(label, cfg.scene, rng), spy)
+        got.append(spy.gesture)
+    assert got == list(viewer.POSE_LABELS * 2)
+    assert len(pipeline.gestures) == len(viewer.POSE_LABELS)
 
 
 def test_pixel_episode_runs_without_block_matching(monkeypatch):
