@@ -42,6 +42,9 @@ SEARCH_RADIUS = 7
 
 MIN_FACE_SIDE = 14
 FACE_THRESHOLD = 130.0  # BrightnessBlobDetector's default: pixels at or above it are face
+# `ndimage.label`'s default 4-connectivity, built once instead of per call
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+_FOUR_CONNECTED.flags.writeable = False
 
 # canonical expression references for the 14-dim characteristic flow:
 # smile = outward+up mouth flow with cheek lift, frown = downward mouth/brow
@@ -269,10 +272,28 @@ def classify_motion(
 
 
 def symmetry_score(frame: Frame, rect: FaceRect) -> float:
-    """Mean mirrored pixel distance in [0, 1] after a 3x3 median filter."""
+    """Mean mirrored pixel distance in [0, 1] after a 3x3 median filter.
+
+    Column j and its mirror w-1-j differ by the same amounts, so the exact
+    integer sum is twice that of the left half against the mirrored right
+    half (a middle column differs from itself by 0)."""
     rect.validate(frame)
-    med = _median3x3(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]).astype(float)
-    return float(np.abs(med - med[:, ::-1]).mean() / 255.0)
+    med = _median3x3(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w])
+    half = med.shape[1] // 2
+    diff = np.subtract(med[:, :half], med[:, ::-1][:, :half], dtype=np.int16)
+    return 2 * int(np.abs(diff).sum()) / med.size / 255.0
+
+
+def _pad_edge(img: np.ndarray, dtype=None) -> np.ndarray:
+    """`img` in `dtype` (by default its own) with a one-pixel border that
+    repeats the edge pixels, corners included: scipy's "reflect" mode and
+    numpy's "symmetric" pad, one pixel wide."""
+    h, w = img.shape
+    p = np.empty((h + 2, w + 2), dtype or img.dtype)
+    p[1:-1, 1:-1] = img
+    p[0, 1:-1], p[-1, 1:-1] = img[0], img[-1]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    return p
 
 
 def _median3x3(img: np.ndarray) -> np.ndarray:
@@ -281,7 +302,7 @@ def _median3x3(img: np.ndarray) -> np.ndarray:
     network: sort each vertical triple, then the median of the nine is the
     median of (largest low, median of the middles, smallest high) across
     three neighboring columns."""
-    p = np.pad(img, 1, mode="symmetric")
+    p = _pad_edge(img)
     a, b, c = p[:-2], p[1:-1], p[2:]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     mid, hi = np.minimum(hi, c), np.maximum(hi, c)
@@ -299,21 +320,31 @@ def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE
     """Horizontal offset in [-1, 1] of the centroid of significant edges.
 
     Positive means edge mass right of the rect centerline. Gradient is a
-    3x3 Sobel normalized to intensity units per pixel step.
+    3x3 Sobel with edges reflected, normalized to intensity units per pixel
+    step: magnitude hypot(gx / 4, gy / 4) for the integer Sobel sums gx, gy,
+    which are exact in int16 (at most 4 * 255 in size). A pixel is
+    significant when that magnitude is at least `theta_edge`.
     """
     rect.validate(frame)
-    sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
-    gx = ndimage.sobel(sub, axis=1, mode="reflect") / 4.0
-    gy = ndimage.sobel(sub, axis=0, mode="reflect") / 4.0
-    mag = np.hypot(gx, gy)
+    p = _pad_edge(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w], np.int16)
+    dx = p[:, 2:] - p[:, :-2]  # central differences along rows, smoothed down columns
+    dy = p[2:] - p[:-2]
+    gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
+    gy = dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
+    # only pixels whose exact squared magnitude comes within a relative 1e-9
+    # of the threshold can pass it, far more slack than hypot's rounding needs
+    sq = np.square(gx, dtype=np.int32)
+    sq += np.square(gy, dtype=np.int32)
+    near = sq >= 16.0 * theta_edge * abs(theta_edge) * (1.0 - 1e-9)
+    mag = np.hypot(gx[near] / 4.0, gy[near] / 4.0)
     sig = mag >= theta_edge
     if not sig.any():
         return 0.0
-    weights = mag[sig]
-    xs = np.nonzero(sig)[1].astype(float)
+    weights = mag[sig]  # row-major order, as the full magnitude image would list them
+    xs = np.nonzero(near)[1][sig].astype(float)
     cog = float((xs * weights).sum() / weights.sum())
     half = (rect.w - 1) / 2.0
-    return float(np.clip((cog - half) / half, -1.0, 1.0))
+    return min(max((cog - half) / half, -1.0), 1.0)
 
 
 def fuse_orientation(
@@ -362,7 +393,7 @@ class BrightnessBlobDetector:
         # every blob lies inside the bounding box of all bright pixels
         x0, x1, y0, y1 = _bounds(mask)
         box = mask[y0:y1, x0:x1]
-        labeled, n = ndimage.label(box)
+        labeled, n = ndimage.label(box, _FOUR_CONNECTED)
         if n > 1:
             sizes = ndimage.sum(box, labeled, index=range(1, n + 1))
             bx0, bx1, by0, by1 = _bounds(labeled == (int(np.argmax(sizes)) + 1))

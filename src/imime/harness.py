@@ -16,6 +16,7 @@ import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class PixelPipeline:
 
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
-        if mask.mean() >= 0.01:
+        if np.count_nonzero(mask) / mask.size >= 0.01:
             key = body.supports(mask).tobytes()
             gesture = self.gestures.get(key)
             if gesture is None:
@@ -262,10 +263,9 @@ LOG_FIELDS = ["tick", "routine", "cause", "attending", "reward", "explore", "jer
 
 def write_log_csv(log: EpisodeLog, path) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=LOG_FIELDS)
-        writer.writeheader()
-        for row in log.rows:
-            writer.writerow(row)
+        writer = csv.writer(f)
+        writer.writerow(LOG_FIELDS)
+        writer.writerows(map(itemgetter(*LOG_FIELDS), log.rows))
 
 
 def write_transitions_csv(log: EpisodeLog, path) -> None:

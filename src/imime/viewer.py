@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,44 +163,80 @@ def frame_update(state: ViewerState, prompt: str | None, rng: np.random.Generato
 # --- frame synthesis -----------------------------------------------------------
 
 
+def _noisy_background(scene: SceneConfig, rng: np.random.Generator) -> np.ndarray:
+    """The float background of a frame: one normal draw per pixel when the
+    scene is noisy, with the background intensity added to the draws (the
+    same IEEE sums as the draws added to the background)."""
+    if scene.noise_sigma > 0:
+        img = rng.normal(0.0, scene.noise_sigma, size=(scene.height, scene.width))
+        img += scene.bg_intensity
+        return img
+    return np.full((scene.height, scene.width), scene.bg_intensity)
+
+
+def _to_pixels(img: np.ndarray) -> np.ndarray:
+    """Clip a float image to [0, 255] in place and truncate it to uint8."""
+    return np.clip(img, 0, 255, out=img).astype(np.uint8)
+
+
+@lru_cache(maxsize=16)
+def _ellipse(ax: int, ay: int) -> np.ndarray:
+    """Read-only mask of the head ellipse over its (2ay+1, 2ax+1) bounding
+    box, centred on the middle pixel."""
+    dy, dx = np.ogrid[-ay : ay + 1, -ax : ax + 1]
+    inside = (dx / ax) ** 2 + (dy / ay) ** 2 <= 1.0
+    inside.flags.writeable = False
+    return inside
+
+
+# the eye disks, (dx, dy) within 3 px of their centres
+_EYE_R = 3
+_EYE = np.add.outer(np.arange(-_EYE_R, _EYE_R + 1) ** 2, np.arange(-_EYE_R, _EYE_R + 1) ** 2) <= _EYE_R**2
+_EYE.flags.writeable = False
+
+
 def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random.Generator) -> Frame:
     """Render the face view: noisy background, bright head ellipse, dark eye
     and mouth features shifted by yaw, and a lateral shading gradient whose
-    strength grows monotonically with |yaw|."""
+    strength grows monotonically with |yaw|. Each part is painted only
+    inside its own bounding box, clipped to the head's and the frame's."""
     h, w = scene.height, scene.width
-    img = np.full((h, w), scene.bg_intensity)
-    if scene.noise_sigma > 0:
-        img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
+    img = _noisy_background(scene, rng)
 
     cx, cy = round(state.x), round(state.y)
     ax, ay = scene.face_ax, scene.face_ay
-    # everything below lies in the head's bounding box, clipped to the frame
+    # the head's bounding box, clipped to the frame
     x0, y0 = max(cx - ax, 0), max(cy - ay, 0)
     x1, y1 = max(min(cx + ax + 1, w), x0), max(min(cy + ay + 1, h), y0)
-    ys, xs = np.ogrid[y0:y1, x0:x1]
-    box = img[y0:y1, x0:x1]
-    inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
+    inside = _ellipse(ax, ay)[y0 - cy + ay : y1 - cy + ay, x0 - cx + ax : x1 - cx + ax]
     slope = SHADE_SLOPE_AT_45 * state.yaw / 45.0
-    np.copyto(box, FACE_INTENSITY + slope * (xs - cx), where=inside)
+    np.copyto(img[y0:y1, x0:x1], FACE_INTENSITY + slope * (np.arange(x0, x1) - cx), where=inside)
+
+    def feature(fx0, fy0, shape):
+        """Paint FEATURE_INTENSITY where `shape`, placed with its top-left
+        pixel at (fx0, fy0), meets the ellipse."""
+        gx0, gy0 = max(fx0, x0), max(fy0, y0)
+        gx1, gy1 = min(fx0 + shape.shape[1], x1), min(fy0 + shape.shape[0], y1)
+        if gx0 < gx1 and gy0 < gy1:
+            part = shape[gy0 - fy0 : gy1 - fy0, gx0 - fx0 : gx1 - fx0]
+            where = part & inside[gy0 - y0 : gy1 - y0, gx0 - x0 : gx1 - x0]
+            np.copyto(img[gy0:gy1, gx0:gx1], FEATURE_INTENSITY, where=where)
 
     shift = int(round(FEATURE_SHIFT_FRAC * ax * state.yaw / 45.0))
-    eye_dy = -int(round(0.30 * ay))
+    eye_y = cy - int(round(0.30 * ay))
     eye_dx = int(round(0.42 * ax))
     for ex in (cx - eye_dx + shift, cx + eye_dx + shift):
-        disk = (xs - ex) ** 2 + (ys - (cy + eye_dy)) ** 2 <= 9
-        box[disk & inside] = FEATURE_INTENSITY
+        feature(ex - _EYE_R, eye_y - _EYE_R, _EYE)
     mouth_y = cy + int(round(0.45 * ay))
     mouth_hw = int(round(0.40 * ax))
-    bar = (np.abs(xs - (cx + shift)) <= mouth_hw) & (np.abs(ys - mouth_y) <= 1)
-    box[bar & inside] = FEATURE_INTENSITY
+    feature(cx + shift - mouth_hw, mouth_y - 1, np.ones((3, 2 * mouth_hw + 1), bool))
 
-    return Frame(np.clip(img, 0, 255).astype(np.uint8))
+    return Frame(_to_pixels(img))
 
 
-def silhouette_top_contour(label: str, scene: SceneConfig) -> np.ndarray:
-    """Per-column top row (frame coordinates) of the canonical silhouette;
-    columns with no body are set to the frame height."""
-    w, h = scene.width, scene.height
+def silhouette_top_contour(label: str, w: int, h: int) -> np.ndarray:
+    """Per-column top row (frame coordinates) of the canonical silhouette in
+    a w x h frame; columns with no body are set to the frame height."""
     cx = w // 2
     top = np.full(w, float(h))
 
@@ -234,22 +271,26 @@ def silhouette_top_contour(label: str, scene: SceneConfig) -> np.ndarray:
 
 
 def silhouette_mask(label: str, scene: SceneConfig) -> np.ndarray:
-    top = silhouette_top_contour(label, scene)
-    ys = np.arange(scene.height)[:, None]
-    return ys >= top[None, :]
+    """Read-only mask of the canonical silhouette in a frame of the scene's
+    size; rendering and the pose references share one copy per size."""
+    return _silhouette(label, scene.width, scene.height)
+
+
+@lru_cache(maxsize=4 * len(POSE_LABELS))
+def _silhouette(label: str, width: int, height: int) -> np.ndarray:
+    mask = np.arange(height)[:, None] >= silhouette_top_contour(label, width, height)[None, :]
+    mask.flags.writeable = False
+    return mask
 
 
 def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.random.Generator) -> Frame:
     """Render the body view: the pose silhouette composited over the noisy
     background. Pose None renders background only."""
-    h, w = scene.height, scene.width
-    img = np.full((h, w), scene.bg_intensity)
-    if scene.noise_sigma > 0:
-        img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
+    pixels = _to_pixels(_noisy_background(scene, rng))
     if state_pose is not None:
-        mask = silhouette_mask(state_pose, scene)
-        img[mask] = BODY_INTENSITY
-    return Frame(np.clip(img, 0, 255).astype(np.uint8))
+        # BODY_INTENSITY lies in [0, 255], so painting after the clip gives the same bytes
+        np.copyto(pixels, np.uint8(BODY_INTENSITY), where=silhouette_mask(state_pose, scene))
+    return Frame(pixels)
 
 
 def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReference]:

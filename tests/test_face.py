@@ -509,6 +509,104 @@ def test_detect_equals_reference(h, w, blobs, specks, seed, threshold):
 # --- edge_cog_offset ---------------------------------------------------------------
 
 
+def reference_edge_cog_offset(frame, rect, theta_edge=face.THETA_EDGE):
+    """`face.edge_cog_offset` with scipy's float Sobel over the whole rect."""
+    rect.validate(frame)
+    sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
+    gx = ndimage.sobel(sub, axis=1, mode="reflect") / 4.0
+    gy = ndimage.sobel(sub, axis=0, mode="reflect") / 4.0
+    mag = np.hypot(gx, gy)
+    sig = mag >= theta_edge
+    if not sig.any():
+        return 0.0
+    weights = mag[sig]
+    xs = np.nonzero(sig)[1].astype(float)
+    cog = float((xs * weights).sum() / weights.sum())
+    half = (rect.w - 1) / 2.0
+    return float(np.clip((cog - half) / half, -1.0, 1.0))
+
+
+def _reference_magnitudes(frame, rect):
+    sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
+    return np.hypot(ndimage.sobel(sub, axis=1, mode="reflect") / 4.0, ndimage.sobel(sub, axis=0, mode="reflect") / 4.0)
+
+
+@st.composite
+def _edge_case(draw):
+    """A frame, a rect in it (the 14x14 minimum, the whole frame or any
+    size between), and a threshold:
+    the default, one of the rect's own edge magnitudes or the float just
+    above or below it, any float from 0 to beyond the largest magnitude,
+    or one that passes every pixel."""
+    h, w = draw(st.integers(16, 40)), draw(st.integers(16, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["levels", "flat", "steps"]))
+    if kind == "levels":
+        levels = draw(st.sampled_from([2, 3, 8, 256]))
+        img = rng.integers(0, levels, size=(h, w)) * (255 // (levels - 1))
+    elif kind == "flat":
+        img = np.full((h, w), rng.integers(0, 256))
+    else:  # step edges at random rows and columns
+        img = np.full((h, w), rng.integers(0, 256))
+        for _ in range(rng.integers(1, 4)):
+            if rng.random() < 0.5:
+                img[:, rng.integers(0, w) :] = rng.integers(0, 256)
+            else:
+                img[rng.integers(0, h) :, :] = rng.integers(0, 256)
+    frame = frame_from(img)
+    shape = draw(st.sampled_from(["smallest", "frame", "any"]))
+    if shape == "frame":
+        rect = face.FaceRect(0, 0, w, h)
+    else:
+        rw, rh = (14, 14) if shape == "smallest" else (draw(st.integers(14, w)), draw(st.integers(14, h)))
+        rect = face.FaceRect(draw(st.integers(0, w - rw)), draw(st.integers(0, h - rh)), rw, rh)
+    mags = _reference_magnitudes(frame, rect).ravel()
+    at = float(mags[draw(st.integers(0, mags.size - 1))])
+    theta = draw(
+        st.sampled_from(
+            [
+                face.THETA_EDGE,
+                at,
+                float(np.nextafter(at, np.inf)),
+                float(np.nextafter(at, -np.inf)),
+                draw(st.floats(0.0, 400.0)),
+                draw(st.sampled_from([0.0, -1.0, 5e-324, float("inf"), float("nan")])),
+            ]
+        )
+    )
+    return frame, rect, theta
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_edge_case())
+def test_edge_cog_offset_equals_reference(case):
+    frame, rect, theta = case
+    with np.errstate(invalid="ignore"):  # a threshold <= 0 on a flat crop weighs only zeros: 0 / 0
+        got, want = face.edge_cog_offset(frame, rect, theta), reference_edge_cog_offset(frame, rect, theta)
+    assert repr(got) == repr(want) and type(got) is float
+
+
+def test_edge_cog_offset_at_exact_magnitudes():
+    # a 0/120 checkerboard of 2x2 cells gives Sobel magnitudes that are exact
+    # in float (0, 60, 120 * sqrt(2)...); thresholds at each of them and one
+    # float either side
+    img = np.kron(np.indices((10, 10)).sum(axis=0) % 2, np.ones((2, 2), int)) * 120
+    frame, rect = frame_from(img), face.FaceRect(1, 2, 17, 15)
+    for m in np.unique(_reference_magnitudes(frame, rect)):
+        for theta in (float(np.nextafter(m, -np.inf)), float(m), float(np.nextafter(m, np.inf))):
+            with np.errstate(invalid="ignore"):
+                got, want = face.edge_cog_offset(frame, rect, theta), reference_edge_cog_offset(frame, rect, theta)
+            assert repr(got) == repr(want), theta
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 7), (14, 14)])
+def test_pad_edge_equals_numpy_edge_pad(shape):
+    img = np.random.default_rng(0).integers(0, 256, size=shape).astype(np.uint8)
+    assert np.array_equal(face._pad_edge(img), np.pad(img, 1, mode="edge"))
+    padded = face._pad_edge(img, np.int16)
+    assert padded.dtype == np.int16 and np.array_equal(padded, np.pad(img, 1, mode="symmetric"))
+
+
 def test_edge_cog_uniform_rect_zero():
     assert face.edge_cog_offset(flat_frame(), face.FaceRect(8, 8, 40, 40)) == 0.0
 

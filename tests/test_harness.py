@@ -146,6 +146,25 @@ def test_pixel_episode_files_unchanged(tmp_path, capsys, seed, erratic_rate, sce
     assert h.hexdigest() == digest
 
 
+def test_pixel_episodes_back_to_back_match_fresh_runs(tmp_path, capsys):
+    # the renderer keeps silhouette and ellipse masks across frames and
+    # episodes; a scene of another size in between must change no byte of
+    # the next default-scene episode
+    default, small = PIXEL_EPISODE_DIGESTS[0], PIXEL_EPISODE_DIGESTS[4]
+    written = []
+    for i, (seed, erratic_rate, scene, digest) in enumerate([default, small, default]):
+        (tmp_path / str(i)).mkdir()
+        code, out = run_pixel_episode(tmp_path / str(i), seed, erratic_rate, scene)
+        assert code == 0, capsys.readouterr().err
+        files = [(out / f).read_bytes() for f in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv")]
+        assert hashlib.sha256(b"".join(files)).hexdigest() == digest, i
+        written.append(files)
+    assert written[0] == written[2]
+    for label in viewer.POSE_LABELS:
+        for side in ((128, 128), (64, 72)):
+            assert not viewer.silhouette_mask(label, viewer.SceneConfig(*side)).flags.writeable
+
+
 class GestureSpy:
     """Passes each frame's cues on to the episode's evaluator and keeps the
     gesture the pipeline gave it."""
@@ -374,6 +393,26 @@ def test_save_episode_writes_all_artifacts(tmp_path):
     assert len(rows) == 100
     assert list(rows[0].keys()) == harness.LOG_FIELDS
     assert summary["decisions"] == 5
+
+
+def reference_write_log_csv(log, path):
+    """`harness.write_log_csv` through `csv.DictWriter`, one row at a time."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=harness.LOG_FIELDS)
+        writer.writeheader()
+        for row in log.rows:
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("mode, steps", [("labels", 300), ("pixels", 60), ("labels", 1)])
+def test_write_log_csv_equals_dict_writer(tmp_path, mode, steps):
+    # erratic bursts put non-zero jerks and reflex causes in the rows
+    cfg = load_config(None, {"steps": steps, "mode": mode, "seed": 3})
+    cfg.profile.erratic_rate = 0.15
+    log, _ = harness.run_episode(cfg)
+    harness.write_log_csv(log, tmp_path / "got.csv")
+    reference_write_log_csv(log, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["labels", "pixels"])

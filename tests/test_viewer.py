@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -357,20 +358,37 @@ def reference_synthesize_face_frame(state, scene, rng):
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def _head_position(draw, side, semi):
+    """A head centre coordinate on a frame side: anywhere from well off one
+    edge to well off the other, or within a semi-axis of either edge, so
+    that the head is clipped there."""
+    where = draw(st.sampled_from(["anywhere", "low edge", "high edge"]))
+    if where == "anywhere":
+        return draw(st.floats(-80.0, 200.0))
+    edge = 0.0 if where == "low edge" else side - 1.0
+    return edge + draw(st.floats(-semi - 1.5, semi + 1.5))
+
+
+@st.composite
+def _face_case(draw):
+    w, h = draw(st.sampled_from([(128, 128), (64, 72), (16, 16), (40, 96), (97, 33), (140, 17)]))
+    ax, ay = draw(st.integers(1, (w - 1) // 2)), draw(st.integers(1, (h - 1) // 2))
+    x, y = draw(_head_position(w, ax)), draw(_head_position(h, ay))
+    return w, h, ax, ay, x, y
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     yaw=st.one_of(st.floats(-45.0, 45.0), st.sampled_from([0.0, -0.0, 22.5, -45.0, 45.0, 90.0])),
-    x=st.floats(-80.0, 200.0),
-    y=st.floats(-80.0, 200.0),
-    size=st.sampled_from([(128, 128), (64, 72), (16, 16), (40, 96), (97, 33)]),
-    semi=st.tuples(st.integers(1, 30), st.integers(1, 40)),
+    case=_face_case(),
     noise=st.sampled_from([0.0, 2.0, 25.0]),
+    bg=st.sampled_from([60.0, -40.0, 300.0, 129.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_face_frame_bit_identical_to_reference(yaw, x, y, size, semi, noise, seed):
-    w, h = size
-    ax, ay = min(semi[0], (w - 1) // 2), min(semi[1], (h - 1) // 2)
-    scene = SceneConfig(width=w, height=h, face_ax=ax, face_ay=ay, noise_sigma=noise, bg_intensity=60.0)
+def test_face_frame_bit_identical_to_reference(yaw, case, noise, bg, seed):
+    w, h, ax, ay, x, y = case
+    scene = SceneConfig(width=w, height=h, face_ax=ax, face_ay=ay, noise_sigma=noise, bg_intensity=bg)
     state = ViewerState(yaw=yaw, x=x, y=y)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     frame = synthesize_face_frame(state, scene, rng)
@@ -386,6 +404,42 @@ def test_face_frame_clipped_at_every_edge():
         frame = synthesize_face_frame(state, scene, np.random.default_rng(0))
         want = reference_synthesize_face_frame(state, scene, np.random.default_rng(0))
         assert frame.pixels.tobytes() == want.tobytes(), (x, y)
+
+
+# --- rendered frame bytes -----------------------------------------------------------
+
+# SHA-256 over the shape and bytes of every face and body frame rendered on
+# a seeded grid of scenes (clipped heads, backgrounds below 0 and above 255),
+# noise levels, head positions, yaws and poses; recorded before the
+# renderer's per-frame array passes were cut.
+FRAME_BYTES_DIGEST = "73780acb44e4efb5effd711d9d0b402571e56a35834b3d03acdd48b0ead00514"
+PIN_SCENES = [
+    SceneConfig(),
+    SceneConfig(width=64, height=72),
+    SceneConfig(width=16, height=16, face_ax=1, face_ay=7),
+    SceneConfig(width=97, height=33, face_ax=20, face_ay=10, bg_intensity=-30.0),
+    SceneConfig(width=40, height=96, face_ax=12, face_ay=40, bg_intensity=290.0),
+]
+
+
+def test_rendered_frame_bytes_unchanged():
+    plan = np.random.default_rng(15)
+    h = hashlib.sha256()
+    for base in PIN_SCENES:
+        for noise in (0.0, 2.0, 25.0):
+            scene = replace(base, noise_sigma=noise)
+            rng = np.random.default_rng(plan.integers(2**32))
+            for pose in (None, *POSE_LABELS) * 3:
+                x = float(plan.uniform(-0.5, 1.5) * scene.width)
+                y = float(plan.uniform(-0.5, 1.5) * scene.height)
+                yaw = float(plan.choice([0.0, plan.uniform(-45.0, 45.0), 90.0]))
+                for frame in (
+                    synthesize_face_frame(ViewerState(yaw=yaw, x=x, y=y), scene, rng),
+                    synthesize_body_frame(pose, scene, rng),
+                ):
+                    h.update(repr(frame.pixels.shape).encode())
+                    h.update(frame.pixels.tobytes())
+    assert h.hexdigest() == FRAME_BYTES_DIGEST
 
 
 # --- body silhouettes and pose references ---------------------------------------------
@@ -419,6 +473,49 @@ def test_noisy_silhouettes_classify_correctly():
         mask = body.segment_foreground(bg, frame)
         got = body.classify_pose(body.drape(mask), refs)
         assert got == label
+
+
+def reference_synthesize_body_frame(state_pose, scene, rng):
+    """`viewer.synthesize_body_frame` with the noise added to a full
+    background, the silhouette built afresh and painted by boolean index
+    before the clip."""
+    h, w = scene.height, scene.width
+    img = np.full((h, w), scene.bg_intensity)
+    if scene.noise_sigma > 0:
+        img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
+    if state_pose is not None:
+        mask = np.arange(h)[:, None] >= viewer.silhouette_top_contour(state_pose, w, h)[None, :]
+        img[mask] = viewer.BODY_INTENSITY
+    return np.clip(img, 0, 255).astype(np.uint8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pose=st.sampled_from([None, *POSE_LABELS]),
+    w=st.integers(16, 140),
+    h=st.integers(16, 140),
+    noise=st.one_of(st.just(0.0), st.sampled_from([2.0, 25.0]), st.floats(1e-3, 80.0)),
+    bg=st.one_of(st.sampled_from([60.0, -40.0, 300.0, 0.0, 255.0]), st.floats(-100.0, 400.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_body_frame_bit_identical_to_reference(pose, w, h, noise, bg, seed):
+    scene = SceneConfig(width=w, height=h, face_ax=1, face_ay=1, noise_sigma=noise, bg_intensity=bg)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    frame = synthesize_body_frame(pose, scene, rng)
+    want = reference_synthesize_body_frame(pose, scene, twin)
+    assert frame.pixels.dtype == np.uint8 and frame.pixels.tobytes() == want.tobytes()
+    assert rng.random() == twin.random()  # the same noise draws were taken
+
+
+def test_kept_geometry_is_read_only():
+    # the silhouette and ellipse masks are shared across frames and
+    # episodes, so no caller may write through them
+    scene = SceneConfig()
+    for mask in [*(silhouette_mask(label, scene) for label in POSE_LABELS), viewer._ellipse(24, 30), viewer._EYE]:
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+    assert silhouette_mask("Wave", scene) is silhouette_mask("Wave", SceneConfig(noise_sigma=0.0))
 
 
 def test_body_frame_without_pose_is_background():
