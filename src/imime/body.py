@@ -3,7 +3,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,8 +65,8 @@ class PoseReference:
         object.__setattr__(self, "std", b.std())
 
 
-def train_background(frames: list[Frame], var_floor: float = VAR_FLOOR) -> BackgroundModel:
-    """Per-pixel sample mean and population variance, variance floored."""
+def train_background(frames: list[Frame]) -> BackgroundModel:
+    """Per-pixel sample mean and population variance, variance floored at VAR_FLOOR."""
     if len(frames) < 2:
         raise TooFewFrames(f"need >= 2 frames, got {len(frames)}")
     shape = frames[0].pixels.shape
@@ -76,12 +75,12 @@ def train_background(frames: list[Frame], var_floor: float = VAR_FLOOR) -> Backg
             raise DimensionMismatch("training frames differ in size")
     stack = np.stack([f.pixels.astype(float) for f in frames])
     mean = stack.mean(axis=0)
-    var = np.maximum(stack.var(axis=0), var_floor)
+    var = np.maximum(stack.var(axis=0), VAR_FLOOR)
     return BackgroundModel(mean=mean, var=var)
 
 
-def segment_foreground(model: BackgroundModel, frame: Frame, tau_mahal: float = TAU_MAHAL) -> np.ndarray:
-    """Boolean mask: |I - mu| / sigma > tau, then one 3x3 majority-vote pass.
+def segment_foreground(model: BackgroundModel, frame: Frame) -> np.ndarray:
+    """Boolean mask: |I - mu| / sigma > TAU_MAHAL, then one 3x3 majority-vote pass.
 
     The vote keeps a pixel when at least 5 of its 9 neighbours (itself
     included; outside the frame counts as background) are foreground. The
@@ -93,7 +92,7 @@ def segment_foreground(model: BackgroundModel, frame: Frame, tau_mahal: float = 
     h, w = model.shape
     raw = np.zeros((h + 2, w + 2), np.uint8)
     dist = np.abs(frame.pixels.astype(float) - model.mean) / model.sigma
-    np.greater(dist, tau_mahal, out=raw[1:-1, 1:-1])
+    np.greater(dist, TAU_MAHAL, out=raw[1:-1, 1:-1])
     rows = raw[:-2] + raw[1:-1] + raw[2:]
     return rows[:, :-2] + rows[:, 1:-1] + rows[:, 2:] >= 5
 
@@ -110,33 +109,27 @@ def supports(mask: np.ndarray) -> np.ndarray:
     return limits
 
 
-def drape(
-    mask: np.ndarray,
-    gravity: float = DRAPE_GRAVITY,
-    coupling: float = DRAPE_COUPLING,
-    tol: float = DRAPE_TOL,
-    max_iters: int = DRAPE_MAX_ITERS,
-) -> np.ndarray:
+def drape(mask: np.ndarray) -> np.ndarray:
     """Drop a 1-node-per-column cloth onto the mask and return the settled
     profile, normalized to [0, 1] (constant profiles normalize to all zeros).
 
-    Each iteration every node falls by `gravity` until blocked by the topmost
-    foreground pixel in its column, then relaxes toward its neighbors'
-    average with weight `coupling`, never penetrating the support. The run
-    stops at the first iteration that moves no node by `tol` or more, or
-    after `max_iters`. Iterations write their profiles into the rows of a
-    history buffer, and that test is made once per DRAPE_BATCH of them.
+    Each iteration every node falls by DRAPE_GRAVITY until blocked by the
+    topmost foreground pixel in its column, then relaxes toward its
+    neighbors' average with weight DRAPE_COUPLING, never penetrating the
+    support. The run stops at the first iteration that moves no node by
+    DRAPE_TOL or more, or after DRAPE_MAX_ITERS. Iterations write their
+    profiles into the rows of a history buffer, and that test is made once
+    per DRAPE_BATCH of them.
     """
     h, w = mask.shape
     limits = supports(mask)
     # Free fall: while the level cloth stays above every support, each
-    # iteration adds exactly `gravity` to every node (the neighbor term is
-    # 0.0), so those iterations run on one float, summed as the loop sums.
+    # iteration adds exactly DRAPE_GRAVITY to every node (the neighbor term
+    # is 0.0), so those iterations run on one float, summed as the loop sums.
     fall, start = 0.0, 0
     lowest = limits.min()
-    if gravity > 0 and math.isfinite(coupling):
-        while start < max_iters and fall + gravity <= lowest and not abs(fall + gravity - fall) < tol:
-            fall, start = fall + gravity, start + 1
+    while start < DRAPE_MAX_ITERS and fall + DRAPE_GRAVITY <= lowest:
+        fall, start = fall + DRAPE_GRAVITY, start + 1
     # row 0 holds the profile before a batch, row i the one after its i-th iteration
     history = np.full((DRAPE_BATCH + 1, w), fall)
     rows = list(history)
@@ -144,21 +137,21 @@ def drape(
     fallen = padded[1:-1]
     step = np.empty(w)
     y = rows[0]
-    for done in range(start, max_iters, DRAPE_BATCH):
-        n = min(DRAPE_BATCH, max_iters - done)
+    for done in range(start, DRAPE_MAX_ITERS, DRAPE_BATCH):
+        n = min(DRAPE_BATCH, DRAPE_MAX_ITERS - done)
         for prev, relaxed in zip(rows[:n], rows[1 : n + 1]):
-            np.add(prev, gravity, out=fallen)
+            np.add(prev, DRAPE_GRAVITY, out=fallen)
             np.minimum(fallen, limits, out=fallen)
             padded[0], padded[-1] = fallen[0], fallen[-1]
-            # relaxed = min(fallen + coupling * ((left + right) / 2 - fallen), limits)
+            # relaxed = min(fallen + DRAPE_COUPLING * ((left + right) / 2 - fallen), limits)
             np.add(padded[:-2], padded[2:], out=step)
             step /= 2.0
             step -= fallen
-            step *= coupling
+            step *= DRAPE_COUPLING
             step += fallen
             np.minimum(step, limits, out=relaxed)
-        # the first iteration that moved no node by tol ends the run; NaN never passes
-        passed = np.abs(history[1 : n + 1] - history[:n]).max(axis=1) < tol
+        # the first iteration that moved no node by DRAPE_TOL ends the run
+        passed = np.abs(history[1 : n + 1] - history[:n]).max(axis=1) < DRAPE_TOL
         first = passed.argmax()
         if passed[first]:
             y = rows[first + 1]
@@ -171,12 +164,9 @@ def drape(
     return (heights - heights.min()) / span
 
 
-def classify_pose(
-    profile: np.ndarray,
-    refs: list[PoseReference],
-    tau_pose: float = TAU_POSE,
-) -> str:
-    """Label of the reference with the highest Pearson correlation, or Unknown."""
+def classify_pose(profile: np.ndarray, refs: list[PoseReference]) -> str:
+    """Label of the reference with the highest Pearson correlation if it
+    reaches TAU_POSE, else Unknown."""
     if not refs:
         raise EmptyReferenceSet("no pose references")
     a = np.asarray(profile, float)
@@ -190,4 +180,4 @@ def classify_pose(
         r = 0.0 if sa == 0 or ref.std == 0 else float((da * ref.centred).mean() / (sa * ref.std))
         if r > best_r:
             best_label, best_r = ref.label, r
-    return best_label if best_r >= tau_pose else "Unknown"
+    return best_label if best_r >= TAU_POSE else "Unknown"

@@ -22,10 +22,9 @@ def _cmd_run(args) -> int:
         "steps": args.steps,
         "mode": args.mode,
         "out_dir": args.out,
+        "dump_frames": args.dump_frames or None,
     }
     cfg = load_config(args.config, overrides)
-    if args.dump_frames:
-        cfg.dump_frames = True
     log, learner = harness.run_episode(cfg)
     summary = harness.save_episode(cfg, log, learner)
     print(f"episode: {log.decisions} decisions over {len(log.rows)} frames -> {cfg.out_dir}")
@@ -67,7 +66,7 @@ def _cmd_analyze(args) -> int:
             if prev_frame is not None and prev_frame.same_size(frame):
                 cf, whole = face.flow_features(prev_frame, frame, rect)
                 motion = face.classify_motion(whole, cf)
-                expression = face.classify_expression(cf, face.EXPRESSION_REFS)
+                expression = face.classify_expression(cf)
             writer.writerow([name, 1, f"{s:.5f}", f"{e:.5f}", label, f"{jerk:.4f}", motion, expression])
             prev_frame = frame
     print(f"wrote {out_path}")
@@ -81,7 +80,7 @@ def _cmd_plot(args) -> int:
             if int(row["decision"]):
                 rewards.append(int(row["reward"]))
     window = harness.CURVE_WINDOW
-    points = [(i, sum(rewards[i : i + window]) / len(rewards[i : i + window])) for i in range(0, len(rewards), window)]
+    points = list(zip(range(0, len(rewards), window), harness.attention_windows(rewards)))
     if args.out.lower().endswith(".png"):
         try:
             import matplotlib

@@ -28,7 +28,7 @@ REGIONS = (
 )
 REGION_LABELS = tuple(label for label, *_ in REGIONS)
 
-# default facial-region geometry thresholds; all configurable
+# facial-region geometry thresholds and block-matching geometry
 TAU_SYM = 0.06
 TAU_COG = 0.25
 TAU_STILL = 0.3
@@ -41,7 +41,7 @@ BLOCK_SIZE = 8
 SEARCH_RADIUS = 7
 
 MIN_FACE_SIDE = 14
-FACE_THRESHOLD = 130.0  # BrightnessBlobDetector's default: pixels at or above it are face
+FACE_THRESHOLD = 130  # BrightnessBlobDetector: pixels at or above it are face
 # `ndimage.label`'s default 4-connectivity, built once instead of per call
 _FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
 _FOUR_CONNECTED.flags.writeable = False
@@ -59,10 +59,6 @@ class RectTooSmall(ValueError):
 
 
 class InsufficientHistory(ValueError):
-    pass
-
-
-class EmptyReferenceSet(ValueError):
     pass
 
 
@@ -122,18 +118,12 @@ class FlowField:
         return np.hypot(self.vectors[..., 0], self.vectors[..., 1])
 
 
-def block_flow(
-    prev: Frame,
-    cur: Frame,
-    region: tuple,
-    block_size: int = BLOCK_SIZE,
-    search_radius: int = SEARCH_RADIUS,
-) -> FlowField:
+def block_flow(prev: Frame, cur: Frame, region: tuple) -> FlowField:
     """SAD block matching of `prev` content into `cur` within a region.
 
-    Each block of the region (the last row and column of blocks may be
-    smaller) takes the shift within `search_radius` whose sum of absolute
-    differences is least. Shifts that move the block partly out of the
+    Each BLOCK_SIZE block of the region (the last row and column of blocks
+    may be smaller) takes the shift within SEARCH_RADIUS whose sum of
+    absolute differences is least. Shifts that move the block partly out of the
     frame are not candidates. Ties are broken toward the smallest
     displacement magnitude, then smallest |dy|, then smallest |dx|, then
     smallest dy, then smallest dx.
@@ -144,14 +134,12 @@ def block_flow(
     H, W = prev.pixels.shape
     if x < 0 or y < 0 or x + w > W or y + h > H:
         raise ValueError("region outside frame")
-    if block_size < 1 or search_radius < 0:
-        raise ValueError("block_size must be >= 1 and search_radius >= 0")
-    r = search_radius
+    r = SEARCH_RADIUS
     n = 2 * r + 1
-    row_starts = np.arange(0, h, block_size)
-    col_starts = np.arange(0, w, block_size)
-    row_ends = np.minimum(row_starts + block_size, h)
-    col_ends = np.minimum(col_starts + block_size, w)
+    row_starts = np.arange(0, h, BLOCK_SIZE)
+    col_starts = np.arange(0, w, BLOCK_SIZE)
+    row_ends = np.minimum(row_starts + BLOCK_SIZE, h)
+    col_ends = np.minimum(col_starts + BLOCK_SIZE, w)
     ny, nx = row_starts.size, col_starts.size
     centers = np.empty((ny, nx, 2))
     centers[..., 0] = x + (col_starts + col_ends - 1) / 2.0
@@ -173,22 +161,21 @@ def block_flow(
     # that every numpy loop runs over all n*n of them. A whole-region
     # difference volume would cost megabytes per call. Columns of `diff`
     # past w stay zero, so a narrow last block column sums only its pixels.
-    # int32 sums, half the memory traffic of int64, while a block's SAD
-    # (at most 255 * block_size**2) stays below the out-of-frame sentinel
-    acc = np.int32 if 255 * block_size * block_size < np.iinfo(np.int32).max else np.int64
-    diff = np.zeros((min(block_size, h), nx * block_size, n, n), dtype=np.int16)
-    sad = np.empty((ny, nx, n, n), dtype=acc)
+    # int32 sums: a block's SAD (at most 255 * BLOCK_SIZE**2) stays far below
+    # the out-of-frame sentinel
+    diff = np.zeros((min(BLOCK_SIZE, h), nx * BLOCK_SIZE, n, n), dtype=np.int16)
+    sad = np.empty((ny, nx, n, n), dtype=np.int32)
     for i, (ra, rb) in enumerate(zip(row_starts, row_ends)):
         d = diff[: rb - ra, :w]
         np.subtract(shifted[ra:rb], p[ra:rb, :, None, None], out=d)
         np.abs(d, out=d)
-        col_sums = diff[: rb - ra].sum(axis=0, dtype=acc)
-        np.sum(col_sums.reshape(nx, block_size, n, n), axis=1, out=sad[i])
+        col_sums = diff[: rb - ra].sum(axis=0, dtype=np.int32)
+        np.sum(col_sums.reshape(nx, BLOCK_SIZE, n, n), axis=1, out=sad[i])
 
     shifts = np.arange(-r, r + 1)
     rows_in = (y + row_starts[:, None] + shifts >= 0) & (y + row_ends[:, None] + shifts <= H)  # (block row, dy)
     cols_in = (x + col_starts[:, None] + shifts >= 0) & (x + col_ends[:, None] + shifts <= W)  # (block col, dx)
-    sad[~(rows_in[:, None, :, None] & cols_in[None, :, None, :])] = np.iinfo(acc).max
+    sad[~(rows_in[:, None, :, None] & cols_in[None, :, None, :])] = np.iinfo(np.int32).max
 
     # candidates in tie-break order; argmin keeps the first minimum
     dy, dx = (a.ravel() for a in np.meshgrid(shifts, shifts, indexing="ij"))
@@ -216,47 +203,31 @@ def flow_features(prev: Frame, cur: Frame, rect: FaceRect) -> tuple[np.ndarray, 
     return characteristic_flow(fields), whole
 
 
-def classify_expression(
-    cf: np.ndarray,
-    refs: list[tuple[str, np.ndarray]],
-    tau_expr: float = TAU_EXPR,
-    tau_mag: float = TAU_MAG,
-) -> str:
-    """Nearest-reference label by cosine similarity, gated on magnitude."""
-    if not refs:
-        raise EmptyReferenceSet("no expression references")
+def classify_expression(cf: np.ndarray) -> str:
+    """Nearest of EXPRESSION_REFS by cosine similarity, gated on magnitude."""
     norm = float(np.linalg.norm(cf))
-    if norm < tau_mag:
+    if norm < TAU_MAG:
         return "Neutral"
     best_label, best_sim = "Neutral", -np.inf
-    for label, ref in refs:
-        rnorm = float(np.linalg.norm(ref))
-        if rnorm == 0.0:
-            raise ValueError(f"zero reference vector for {label}")
-        sim = float(np.dot(cf, ref)) / (norm * rnorm)
+    for label, ref in EXPRESSION_REFS:
+        sim = float(np.dot(cf, ref)) / (norm * float(np.linalg.norm(ref)))
         if sim > best_sim:
             best_label, best_sim = label, sim
-    return best_label if best_sim >= tau_expr else "Neutral"
+    return best_label if best_sim >= TAU_EXPR else "Neutral"
 
 
-def classify_motion(
-    field: FlowField,
-    region_means: np.ndarray,
-    tau_still: float = TAU_STILL,
-    tau_zone: float = TAU_ZONE,
-    tau_spread: float = TAU_SPREAD,
-) -> str:
+def classify_motion(field: FlowField, region_means: np.ndarray) -> str:
     """Still / Rigid / NonRigid from a whole-face flow field plus the 14-vector.
 
     Rigid needs motion in all seven zones AND a wide spatial spread of the
     peak blocks; spread = (std_x + std_y of peak centers) / face diagonal.
     """
     mags = field.magnitudes
-    if mags.mean() < tau_still:
+    if mags.mean() < TAU_STILL:
         return "Still"
     zone = region_means.reshape(7, 2)
     zone_mag = np.hypot(zone[:, 0], zone[:, 1])
-    all_zones = bool((zone_mag > tau_zone).all())
+    all_zones = bool((zone_mag > TAU_ZONE).all())
     nonzero = mags[mags > 0]
     spread = 0.0
     if nonzero.size:
@@ -266,7 +237,7 @@ def classify_motion(
             _, _, w, h = field.region
             diag = float(np.hypot(w, h))
             spread = float(peaks[:, 0].std() + peaks[:, 1].std()) / diag
-    if all_zones and spread > tau_spread:
+    if all_zones and spread > TAU_SPREAD:
         return "Rigid"
     return "NonRigid"
 
@@ -316,14 +287,14 @@ def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE) -> float:
+def edge_cog_offset(frame: Frame, rect: FaceRect) -> float:
     """Horizontal offset in [-1, 1] of the centroid of significant edges.
 
     Positive means edge mass right of the rect centerline. Gradient is a
     3x3 Sobel with edges reflected, normalized to intensity units per pixel
     step: magnitude hypot(gx / 4, gy / 4) for the integer Sobel sums gx, gy,
     which are exact in int16 (at most 4 * 255 in size). A pixel is
-    significant when that magnitude is at least `theta_edge`.
+    significant when that magnitude is at least THETA_EDGE.
     """
     rect.validate(frame)
     p = _pad_edge(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w], np.int16)
@@ -335,9 +306,9 @@ def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE
     # of the threshold can pass it, far more slack than hypot's rounding needs
     sq = np.square(gx, dtype=np.int32)
     sq += np.square(gy, dtype=np.int32)
-    near = sq >= 16.0 * theta_edge * abs(theta_edge) * (1.0 - 1e-9)
+    near = sq >= 16.0 * THETA_EDGE * THETA_EDGE * (1.0 - 1e-9)
     mag = np.hypot(gx[near] / 4.0, gy[near] / 4.0)
-    sig = mag >= theta_edge
+    sig = mag >= THETA_EDGE
     if not sig.any():
         return 0.0
     weights = mag[sig]  # row-major order, as the full magnitude image would list them
@@ -347,13 +318,7 @@ def edge_cog_offset(frame: Frame, rect: FaceRect, theta_edge: float = THETA_EDGE
     return min(max((cog - half) / half, -1.0), 1.0)
 
 
-def fuse_orientation(
-    s: float,
-    e: float,
-    prev_label: str = "Frontal",
-    tau_sym: float = TAU_SYM,
-    tau_cog: float = TAU_COG,
-) -> str:
+def fuse_orientation(s: float, e: float, prev_label: str) -> str:
     """Combine the symmetry and edge cues into a head-orientation label,
     Left, Frontal or Right.
 
@@ -361,7 +326,7 @@ def fuse_orientation(
     decides Left/Right, keeping the previous label when the edge cue is
     silent (hysteresis).
     """
-    if s < tau_sym and abs(e) < tau_cog:
+    if s < TAU_SYM and abs(e) < TAU_COG:
         return "Frontal"
     if e < 0:
         return "Left"
@@ -383,11 +348,8 @@ class BrightnessBlobDetector:
     """Injected face-finder stand-in for synthetic frames: bounding box of
     the largest bright blob, grown to the minimum legal face size."""
 
-    def __init__(self, threshold: float = FACE_THRESHOLD):
-        self.threshold = threshold
-
     def detect(self, frame: Frame) -> FaceRect | None:
-        mask = frame.pixels >= self.threshold
+        mask = frame.pixels >= FACE_THRESHOLD
         if not mask.any():
             return None
         # every blob lies inside the bounding box of all bright pixels

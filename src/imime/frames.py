@@ -58,7 +58,7 @@ def write_pgm(frame: Frame, path) -> None:
 def read_pgm(path) -> Frame:
     with open(path, "rb") as f:
         data = f.read()
-    if not data.startswith(b"P5"):
+    if not data.startswith(b"P5") or not data[2:3].isspace():
         raise FrameError("not a binary PGM (P5) file")
     # header: magic, width, height, maxval; '#' comments allowed between tokens
     pos = 2
@@ -75,6 +75,8 @@ def read_pgm(path) -> Frame:
             pos += 1
         if start == pos:
             raise FrameError("truncated PGM header")
+        if not data[start:pos].isdigit():
+            raise FrameError(f"PGM header token {data[start:pos]!r} is not a decimal number")
         tokens.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     width, height, maxval = (int(t) for t in tokens)

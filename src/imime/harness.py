@@ -225,13 +225,17 @@ def oracle_policy(profile: viewer.ViewerProfile, gamma: float, tol: float = 1e-1
 # --- metrics ------------------------------------------------------------------
 
 
+def attention_windows(rewards: list[int]) -> list[float]:
+    """The learning curve: the mean reward (attending fraction) of each run
+    of CURVE_WINDOW decisions, the last run possibly shorter."""
+    return [float(np.mean(rewards[i : i + CURVE_WINDOW])) for i in range(0, len(rewards), CURVE_WINDOW)]
+
+
 def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) -> dict:
     decision_rows = log.decision_rows()
     rewards = [r["reward"] for r in decision_rows]
     gamma = learner.cfg.gamma
-
-    window = CURVE_WINDOW
-    window_fractions = [float(np.mean(rewards[i : i + window])) for i in range(0, len(rewards), window)]
+    window_fractions = attention_windows(rewards)
     realized = sum(r * gamma**i for i, r in enumerate(rewards))
     policy, values = oracle_policy(profile, gamma)
     # tick 0 is a decision tick, taken in the engine's initial policy routine

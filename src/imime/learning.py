@@ -226,7 +226,6 @@ class Learner:
         self.model = TransitionModel.from_table(self.table)
         self.q = update_values(self.model, self.cfg)
         self.previous: tuple[StateId, Routine] | None = None
-        self.outcomes_recorded = 0
 
     def observe(self, attention: AttentionState) -> None:
         """Attribute the attending bit at this decision tick to the previous
@@ -236,7 +235,6 @@ class Learner:
         s, a = self.previous
         self.table.record(s, a, bool(attention.attending))
         self.model.refresh_cell(self.table, s, a)
-        self.outcomes_recorded += 1
         self.q = update_values(self.model, self.cfg, q0=self.q)
 
     def choose(self, s: StateId, rng: np.random.Generator) -> tuple[Routine, bool]:

@@ -365,7 +365,8 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_loop_integrity():
     cfg = load_config(None, {"steps": 400, "seed": 9})
     log, learner = harness.run_episode(cfg)
-    outcome_ok = learner.outcomes_recorded == log.decisions - 1
+    outcomes = int(learner.table.k.sum() + learner.table.m.sum())
+    outcome_ok = outcomes == log.decisions - 1
 
     # Simon-Says decision table
     results = {}
@@ -403,6 +404,6 @@ def test_criterion_10_loop_integrity():
         10,
         "loop integrity",
         outcome_ok and table_ok,
-        f"outcomes {learner.outcomes_recorded} = decisions {log.decisions} - 1: {outcome_ok}; "
+        f"outcomes {outcomes} = decisions {log.decisions} - 1: {outcome_ok}; "
         f"simon table {{{table_str}}}",
     )

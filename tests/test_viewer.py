@@ -459,7 +459,7 @@ def test_pose_references_are_separable():
     refs = viewer.build_pose_references()
     for i in range(len(refs)):
         for j in range(i + 1, len(refs)):
-            # correlation below tau_pose = 0.9 leaves the label Unknown
+            # correlation below TAU_POSE = 0.9 leaves the label Unknown
             assert body.classify_pose(refs[i].profile, [refs[j]]) == "Unknown", (refs[i].label, refs[j].label)
 
 
