@@ -310,6 +310,57 @@ def test_drape_reads_the_mask_only_through_its_supports(mask):
     assert body.drape(solid).tobytes() == body.drape(mask).tobytes()
 
 
+def _slow_drape_mask(kind):
+    """A 120x64 silhouette whose cloth needs 85 ("post": a floor and one
+    post) or 90 ("posts": a thin floor and a post at either side)
+    iterations, more than two batches."""
+    mask = np.zeros((120, 64), dtype=bool)
+    if kind == "post":
+        mask[111:, :] = True
+        mask[40:, 4:8] = True
+    else:
+        mask[118:, :] = True
+        mask[40:, :3] = True
+        mask[40:, -3:] = True
+    return mask
+
+
+@pytest.mark.parametrize("max_iters", [60, 2 * body.DRAPE_BATCH, 2 * body.DRAPE_BATCH + 1])
+@pytest.mark.parametrize("kind", ["post", "posts"])
+def test_drape_cut_inside_or_at_a_batch_matches_reference(kind, max_iters, monkeypatch):
+    mask = _slow_drape_mask(kind)
+    monkeypatch.setattr(body, "DRAPE_MAX_ITERS", max_iters)
+    want = reference_drape(mask, max_iters=max_iters)
+    # the cut is visible: the settled cloth differs
+    assert want.tobytes() != reference_drape(mask).tobytes()
+    assert body.drape(mask).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 16, 17, 18])
+def test_drape_stops_free_fall_at_max_iters(max_iters, monkeypatch):
+    # 17 iterations of free fall; cutting the run inside them leaves a level cloth
+    mask = np.zeros((40, 24), dtype=bool)
+    mask[35:, :] = True
+    mask[34:, 5] = True
+    monkeypatch.setattr(body, "DRAPE_MAX_ITERS", max_iters)
+    assert body.drape(mask).tobytes() == reference_drape(mask, max_iters=max_iters).tobytes()
+
+
+def test_segment_foreground_threshold_is_strict(monkeypatch):
+    # every pixel 6 grey levels from a mean of sigma 2: distance exactly 3.0
+    model = body.BackgroundModel(mean=np.full((8, 9), 100.0), var=np.full((8, 9), 4.0))
+    frame = Pixels(np.full((8, 9), 106, dtype=np.uint8))
+    monkeypatch.setattr(body, "TAU_MAHAL", 3.0)
+    assert not body.segment_foreground(model, frame).any()
+    assert body.segment_foreground(model, frame).tobytes() == reference_segment_foreground(model, frame, 3.0).tobytes()
+    below = float(np.nextafter(3.0, 0.0))
+    monkeypatch.setattr(body, "TAU_MAHAL", below)
+    # all foreground but the corners, which see 4 of 9 votes past the frame edge
+    got = body.segment_foreground(model, frame)
+    assert got.sum() == got.size - 4
+    assert got.tobytes() == reference_segment_foreground(model, frame, below).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -166,8 +166,9 @@ def _loop_block_flow(prev, cur, region, block_size=face.BLOCK_SIZE, search_radiu
 
 
 def _assert_matches_loop(prev, cur, region):
+    # the loop reads the geometry when called, so a patched constant reaches both
     field = face.block_flow(prev, cur, region)
-    vectors, centers = _loop_block_flow(prev, cur, region)
+    vectors, centers = _loop_block_flow(prev, cur, region, face.BLOCK_SIZE, face.SEARCH_RADIUS)
     assert field.vectors.dtype == vectors.dtype and field.centers.dtype == centers.dtype
     assert np.array_equal(field.vectors, vectors)
     assert np.array_equal(field.centers, centers)
@@ -212,12 +213,16 @@ def test_block_flow_bit_identical_to_loop_reference(case):
     _assert_matches_loop(*case)
 
 
-def test_block_flow_matches_loop_at_every_frame_edge():
-    rng = np.random.default_rng(face.BLOCK_SIZE * 10 + face.SEARCH_RADIUS)
+@pytest.mark.parametrize("block_size", [3, 8])
+@pytest.mark.parametrize("search_radius", [2, 7])
+def test_block_flow_matches_loop_at_every_frame_edge(block_size, search_radius, monkeypatch):
+    monkeypatch.setattr(face, "BLOCK_SIZE", block_size)
+    monkeypatch.setattr(face, "SEARCH_RADIUS", search_radius)
+    rng = np.random.default_rng(block_size * 10 + search_radius)
     prev = _textured(32, rng)
     cur = Frame(np.roll(prev.pixels, (1, -2), axis=(0, 1)))
     flat = flat_frame(size=32)
-    # uneven last blocks: 13 and 19 are not multiples of the block size
+    # uneven last blocks: 13 and 19 are multiples of neither block size
     for region in ((0, 0, 13, 19), (19, 0, 13, 19), (0, 13, 19, 19), (13, 13, 19, 19), (0, 0, 32, 32)):
         _assert_matches_loop(prev, cur, region)
         _assert_matches_loop(prev, prev, region)
@@ -320,6 +325,22 @@ FROWN = dict(face.EXPRESSION_REFS)["Frown"]
 
 def test_expression_exact_copy():
     assert face.classify_expression(SMILE.copy()) == "Smile"
+
+
+@pytest.mark.parametrize("label", [label for label, _ in face.EXPRESSION_REFS])
+def test_expression_each_reference_at_the_magnitude_gate(label):
+    # scaled to the least norm at or above TAU_MAG it passes the gate; the
+    # next float scale down is below it and gives Neutral
+    ref = dict(face.EXPRESSION_REFS)[label]
+    unit = ref / np.linalg.norm(ref)
+    scale = face.TAU_MAG
+    while np.linalg.norm(unit * scale) < face.TAU_MAG:
+        scale = np.nextafter(scale, np.inf)
+    while np.linalg.norm(unit * np.nextafter(scale, 0.0)) >= face.TAU_MAG:
+        scale = np.nextafter(scale, 0.0)
+    assert face.classify_expression(unit * scale) == label
+    below = unit * np.nextafter(scale, 0.0)
+    assert face.classify_expression(below) == "Neutral"
 
 
 def test_expression_zero_vector_neutral():
@@ -465,6 +486,15 @@ def reference_detect(frame, threshold=130.0):
         else:
             return None
     return face.FaceRect(x0, y0, x1 - x0, y1 - y0)
+
+
+def test_integer_face_threshold_gives_the_float_mask():
+    # every uint8 value against the integer threshold and against 130.0
+    values = frame_from(np.arange(256).reshape(16, 16))
+    assert type(face.FACE_THRESHOLD) is int
+    assert np.array_equal(values.pixels >= face.FACE_THRESHOLD, values.pixels >= 130.0)
+    rect = face.BrightnessBlobDetector().detect(values)
+    assert rect == reference_detect(values, 130.0)
 
 
 @settings(max_examples=200, deadline=None)

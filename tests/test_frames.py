@@ -71,13 +71,24 @@ def test_pgm_errors(tmp_path):
     p.write_bytes(b"P5\n16 16\n255\n" + bytes(100))  # short raster
     with pytest.raises(FrameError):
         read_pgm(p)
-    # no whitespace after the magic number, and header tokens that are not
-    # plain decimal numbers (`int` alone would accept a sign or underscores)
-    bad_headers = (b"P516 16\n", b"P5\nxx 16\n", b"P5\n16 0x10\n", b"P5\n+16 16\n", b"P5\n1_6 16\n")
-    for header in bad_headers:
-        p.write_bytes(header + b"255\n" + bytes(256))
-        with pytest.raises(FrameError):
-            read_pgm(p)
+
+
+# no whitespace after the magic number, and header tokens that are not plain
+# decimal numbers (`int` alone would accept a sign or underscores)
+@pytest.mark.parametrize("header", [b"P516 16\n", b"P5\nxx 16\n", b"P5\n16 0x10\n", b"P5\n+16 16\n", b"P5\n1_6 16\n"])
+def test_pgm_rejects_malformed_header(tmp_path, header):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header + b"255\n" + bytes(256))
+    with pytest.raises(FrameError):
+        read_pgm(p)
+
+
+@pytest.mark.parametrize("sep", [b" ", b"\t", b"\r", b"\r\n", b"\n\n"])
+def test_pgm_any_whitespace_after_magic(tmp_path, sep):
+    raster = bytes(range(256))
+    p = tmp_path / "ok.pgm"
+    p.write_bytes(b"P5" + sep + b"16 16\n255\n" + raster)
+    assert read_pgm(p).pixels.tobytes() == raster
 
 
 @settings(max_examples=20, deadline=None)

@@ -435,6 +435,18 @@ def test_one_frame_episode_scores_its_first_state(tmp_path, mode):
 # --- CLI ------------------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, harness.CURVE_WINDOW - 1, harness.CURVE_WINDOW, harness.CURVE_WINDOW + 1, 2 * harness.CURVE_WINDOW, 2 * harness.CURVE_WINDOW + 1]
+)
+def test_attention_windows_are_sum_over_len(n):
+    # the same floats as the sum / len form `imime plot` used before
+    rewards = np.random.default_rng(n).integers(0, 2, size=n).tolist()
+    chunks = [rewards[i : i + harness.CURVE_WINDOW] for i in range(0, n, harness.CURVE_WINDOW)]
+    got = harness.attention_windows(rewards)
+    assert [type(f) for f in got] == [float] * len(chunks)
+    assert got == [sum(c) / len(c) for c in chunks]
+
+
 def test_cli_run_and_plot(tmp_path, capsys):
     # 150 decisions: one full curve window and a shorter last one
     out = str(tmp_path / "run")
