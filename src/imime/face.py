@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .frames import DimensionMismatch, Frame
 
@@ -42,9 +41,6 @@ SEARCH_RADIUS = 7
 
 MIN_FACE_SIDE = 14
 FACE_THRESHOLD = 130  # BrightnessBlobDetector: pixels at or above it are face
-# `ndimage.label`'s default 4-connectivity, built once instead of per call
-_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
-_FOUR_CONNECTED.flags.writeable = False
 
 # canonical expression references for the 14-dim characteristic flow:
 # smile = outward+up mouth flow with cheek lift, frown = downward mouth/brow
@@ -354,11 +350,9 @@ class BrightnessBlobDetector:
             return None
         # every blob lies inside the bounding box of all bright pixels
         x0, x1, y0, y1 = _bounds(mask)
-        box = mask[y0:y1, x0:x1]
-        labeled, n = ndimage.label(box, _FOUR_CONNECTED)
-        if n > 1:
-            sizes = ndimage.sum(box, labeled, index=range(1, n + 1))
-            bx0, bx1, by0, by1 = _bounds(labeled == (int(np.argmax(sizes)) + 1))
+        blob = _largest_blob_bounds(mask[y0:y1, x0:x1])
+        if blob is not None:
+            bx0, bx1, by0, by1 = blob
             x0, x1, y0, y1 = x0 + bx0, x0 + bx1, y0 + by0, y0 + by1
         # pad out to the minimum rect size, staying inside the frame
         while x1 - x0 < MIN_FACE_SIDE:
@@ -409,3 +403,57 @@ def _bounds(mask: np.ndarray) -> tuple[int, int, int, int]:
     cols = np.flatnonzero(mask.any(axis=0))
     rows = np.flatnonzero(mask.any(axis=1))
     return int(cols[0]), int(cols[-1]) + 1, int(rows[0]), int(rows[-1]) + 1
+
+
+def _largest_blob_bounds(box: np.ndarray) -> tuple[int, int, int, int] | None:
+    """Half-open (x0, x1, y0, y1) bounding box of the largest 4-connected
+    blob of True pixels, the first in raster order on ties, or None when
+    they form at most one blob.
+
+    Blobs are joined from the runs of True pixels in each row. A run is
+    keyed by row * (w + 1) + column, so the zero column padded onto every
+    row ends each row's last run, and the keys of all runs are sorted in
+    raster order. A blob takes the index of its first run, which is the
+    order `ndimage.label` numbers blobs in."""
+    h, w = box.shape
+    stride = w + 1
+    flat = np.zeros(h * stride + 1, np.int8)
+    flat[1:].reshape(h, stride)[:, :w] = box
+    edges = np.flatnonzero(np.diff(flat))
+    starts, ends = edges[0::2], edges[1::2]  # end keys are exclusive
+    # runs lo[i]..hi[i]-1 are those of the row above that share a column with run i
+    lo = np.searchsorted(ends, starts - stride, side="right")
+    hi = np.searchsorted(starts, ends - stride)
+    # when every run after the first has a run above it, each joins the blob
+    # of an earlier run, so the first run's blob holds them all
+    if np.count_nonzero(lo == hi) <= 1:
+        return None
+    # union-find over the runs, linking the later root under the earlier one,
+    # so parent[i] <= i and a root is its blob's first run
+    parent = list(range(len(starts)))
+    for i, a, b in zip(range(len(starts)), lo.tolist(), hi.tolist()):
+        for j in range(a, b):
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]  # path halving
+            r = i
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            if j < r:
+                parent[r] = j
+            else:
+                parent[j] = r
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]  # p <= i, so parent[p] is already a root
+    labels = np.array(parent)
+    sizes = np.bincount(labels, ends - starts)
+    if np.count_nonzero(sizes) == 1:
+        return None
+    largest = labels == int(np.argmax(sizes))
+    rows = starts[largest] // stride
+    row_keys = rows * stride
+    return (
+        int((starts[largest] - row_keys).min()),
+        int((ends[largest] - row_keys).max()),
+        int(rows[0]),
+        int(rows[-1]) + 1,
+    )

@@ -166,9 +166,12 @@ def frame_update(state: ViewerState, prompt: str | None, rng: np.random.Generato
 def _noisy_background(scene: SceneConfig, rng: np.random.Generator) -> np.ndarray:
     """The float background of a frame: one normal draw per pixel when the
     scene is noisy, with the background intensity added to the draws (the
-    same IEEE sums as the draws added to the background)."""
+    same IEEE sums as the draws added to the background). The draws are
+    standard normals scaled in place, the same bytes and generator state as
+    `rng.normal(0.0, sigma, size)`, which computes 0.0 + sigma * z."""
     if scene.noise_sigma > 0:
-        img = rng.normal(0.0, scene.noise_sigma, size=(scene.height, scene.width))
+        img = rng.standard_normal((scene.height, scene.width))
+        img *= scene.noise_sigma
         img += scene.bg_intensity
         return img
     return np.full((scene.height, scene.width), scene.bg_intensity)

@@ -517,6 +517,139 @@ def test_detect_equals_reference(h, w, blobs, specks, seed):
     assert face.BrightnessBlobDetector().detect(frame) == reference_detect(frame)
 
 
+def reference_largest_blob_bounds(box):
+    """`face._largest_blob_bounds` by `ndimage.label`, whose default
+    structure is 4-connected, and `ndimage.sum`."""
+    labeled, n = ndimage.label(box)
+    if n <= 1:
+        return None
+    sizes = ndimage.sum(box, labeled, index=range(1, n + 1))
+    ys, xs = np.nonzero(labeled == int(np.argmax(sizes)) + 1)
+    return int(xs.min()), int(xs.max()) + 1, int(ys.min()), int(ys.max()) + 1
+
+
+def tied_blobs(rng):
+    # equal-area rectangles of different shapes, one per cell of a grid, apart
+    area = int(rng.choice([1, 2, 3, 4, 6, 8, 12]))
+    shapes = [(r, area // r) for r in range(1, area + 1) if area % r == 0]
+    rows, cols = rng.integers(1, 4, size=2)
+    cell = area + 1
+    box = np.zeros((rows * cell, cols * cell), bool)
+    for k in rng.permutation(rows * cols)[: rng.integers(2, rows * cols + 2)]:
+        r, c = shapes[rng.integers(len(shapes))]
+        y, x = (k // cols) * cell, (k % cols) * cell
+        box[y : y + r, x : x + c] = True
+    return box
+
+
+def holed_blob(rng):
+    # a rectangle with pixels punched out of its inside, and maybe a second
+    # rectangle beside it, larger or smaller
+    h, w = rng.integers(3, 20, size=2)
+    box = np.ones((h, w), bool)
+    box[1:-1, 1:-1] = rng.random((h - 2, w - 2)) >= rng.uniform(0.0, 0.8)
+    if rng.random() < 0.5:
+        side = np.zeros((h, int(rng.integers(2, 16))), bool)
+        side[: rng.integers(1, h + 1), 1:] = True
+        box = np.hstack([box, side])
+    return box
+
+
+def diagonal_blocks(rng):
+    # blocks of a checkerboard, some left out, each touching its neighbours
+    # only at corners; and the diagonal of single pixels
+    if rng.random() < 0.2:
+        return np.eye(int(rng.integers(2, 12)), dtype=bool)[:, :: rng.choice([1, -1])]
+    heights = rng.integers(1, 4, size=rng.integers(2, 6))
+    widths = rng.integers(1, 4, size=rng.integers(2, 6))
+    ys, xs = np.cumsum(heights) - heights, np.cumsum(widths) - widths
+    box = np.zeros((heights.sum(), widths.sum()), bool)
+    for i, (y, bh) in enumerate(zip(ys, heights)):
+        for j, (x, bw) in enumerate(zip(xs, widths)):
+            if (i + j) % 2 == 0 and rng.random() < 0.8:
+                box[y : y + bh, x : x + bw] = True
+    return box
+
+
+def line_mask(rng):
+    n = int(rng.integers(1, 40))
+    line = rng.random(n) < rng.uniform(0.2, 0.9)
+    return line[None, :] if rng.random() < 0.5 else line[:, None]
+
+
+def u_shapes(rng):
+    # nested U shapes, each one blob whose arms meet only below, so each arm
+    # starts a run with nothing above it; half of them upright and alone,
+    # the rest turned to any side, maybe with a block beside them
+    k = int(rng.integers(1, 4))
+    turns = int(rng.integers(4))
+    upright_alone = rng.random() < 0.5
+    if upright_alone:
+        k, turns = 1, 0
+    arm = int(rng.integers(1, 3))
+    size = 2 * k * (arm + 1) + int(rng.integers(0, 4))
+    box = np.zeros((size, size), bool)
+    for i in range(k):
+        o = i * (arm + 1)
+        box[o : size - o, o : o + arm] = True
+        box[o : size - o, size - o - arm : size - o] = True
+        box[size - o - arm : size - o, o : size - o] = True
+    if not upright_alone and rng.random() < 0.5:
+        side = np.zeros((size, int(rng.integers(2, 10))), bool)
+        side[: rng.integers(1, size + 1), 1:] = True
+        box = np.hstack([box, side])
+    return np.rot90(box, turns)
+
+
+def random_mask(rng):
+    return rng.random(rng.integers(1, 30, size=2)) < rng.random()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    make=st.sampled_from([tied_blobs, holed_blob, diagonal_blocks, line_mask, u_shapes, random_mask]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_largest_blob_bounds_equals_ndimage(make, seed):
+    box = make(np.random.default_rng(seed))
+    assert face._largest_blob_bounds(box) == reference_largest_blob_bounds(box)
+
+
+def test_largest_blob_bounds_families_reach_both_paths():
+    # a lone U misses the one-run shortcut but is still one blob; equal
+    # blobs go to the first in raster order; corner contacts do not join
+    u = np.array([[1, 0, 1], [1, 0, 1], [1, 1, 1]], bool)
+    assert face._largest_blob_bounds(u) is None
+    assert face._largest_blob_bounds(u[::-1]) is None
+    ties = np.array([[0, 1, 1, 0, 0], [0, 0, 0, 0, 0], [1, 1, 0, 1, 1]], bool)
+    assert face._largest_blob_bounds(ties) == (1, 3, 0, 1)
+    corners = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], bool)
+    assert face._largest_blob_bounds(corners) == (0, 2, 0, 2)
+    assert face._largest_blob_bounds(np.eye(3, dtype=bool)) == (0, 1, 0, 1)
+    assert face._largest_blob_bounds(np.zeros((2, 3), bool)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scene=st.sampled_from([viewer.SceneConfig(), viewer.SceneConfig(width=64, height=72)]),
+    noise=st.one_of(st.sampled_from([0.0, 0.5, 2.0, 8.0, 25.0]), st.floats(0.0, 80.0)),
+    yaw=st.floats(-45.0, 45.0),
+    dx=st.floats(-0.5, 0.5),
+    dy=st.floats(-0.5, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_largest_blob_bounds_on_rendered_faces(scene, noise, yaw, dx, dy, seed):
+    # the boxes `detect` labels: a shaded head whose eyes and mouth leave
+    # holes, with noise specks around and inside it at any accepted sigma
+    scene = viewer.SceneConfig(width=scene.width, height=scene.height, noise_sigma=noise)
+    state = viewer.ViewerState(yaw=yaw, x=scene.width * (0.5 + dx), y=scene.height * (0.5 + dy))
+    mask = viewer.synthesize_face_frame(state, scene, np.random.default_rng(seed)).pixels >= face.FACE_THRESHOLD
+    if mask.any():
+        x0, x1, y0, y1 = face._bounds(mask)
+        box = mask[y0:y1, x0:x1]
+        assert face._largest_blob_bounds(box) == reference_largest_blob_bounds(box)
+
+
 # --- edge_cog_offset ---------------------------------------------------------------
 
 

@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imime
 from imime import body, cli, face, harness, viewer
 from imime.attention import AttentionEvaluator
 from imime.behavior import BehaviorEngine, Routine
@@ -524,3 +528,42 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     rc = cli.main(["plot", "--log", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+VISION_REPORT = Path(__file__).resolve().parents[1] / "scripts" / "vision_accuracy_report.py"
+
+# argv: the vision report's path, then `imime` arguments
+WITHOUT_SCIPY = """
+import runpy, sys
+import imime.cli
+if "scipy" in sys.modules:
+    sys.exit("import imime.cli imported scipy")
+sys.modules["scipy"] = None  # from here on `import scipy` raises ImportError
+if imime.cli.main(sys.argv[2:]) != 0:
+    sys.exit("imime run failed")
+sys.argv = [sys.argv[1], "--frames", "10"]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+def test_program_runs_without_scipy(tmp_path):
+    # scipy is a test dependency: a fresh interpreter runs a pixel episode and
+    # the vision report with its import blocked, and writes the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(imime.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    args = ["run", "--mode", "pixels", "--steps", "40", "--seed", "3"]
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(VISION_REPORT), *args, "--out", str(blocked)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "orientation:" in done.stdout and "pose classification" in done.stdout
+    assert cli.main([*args, "--out", str(free)]) == 0
+    names = sorted(os.listdir(free))
+    assert "episode.csv" in names and sorted(os.listdir(blocked)) == names
+    for name in names:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), name

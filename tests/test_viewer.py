@@ -406,6 +406,26 @@ def test_face_frame_clipped_at_every_edge():
         assert frame.pixels.tobytes() == want.tobytes(), (x, y)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    sigma=st.one_of(st.sampled_from([0.5, 2.0, 8.0, 25.0]), st.floats(1e-3, 1e3)),
+    bg=st.floats(-300.0, 300.0),
+    size=st.sampled_from([(128, 128, 24, 30), (64, 72, 24, 30), (16, 16, 1, 7)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noisy_background_equals_normal_draw(sigma, bg, size, seed):
+    # scaled standard normals are `rng.normal(0.0, sigma)`'s bytes, and leave
+    # the generator where it leaves it
+    w, h, ax, ay = size
+    scene = SceneConfig(width=w, height=h, face_ax=ax, face_ay=ay, noise_sigma=sigma, bg_intensity=bg)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    img = viewer._noisy_background(scene, rng)
+    want = twin.normal(0.0, sigma, size=(h, w))
+    want += bg
+    assert img.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 # --- rendered frame bytes -----------------------------------------------------------
 
 # SHA-256 over the shape and bytes of every face and body frame rendered on
