@@ -46,7 +46,7 @@ class BehaviorConfig:
 @dataclass
 class GameState:
     phase: str = "Idle"  # Idle | Pondering | Prompted
-    prompted: str | None = None
+    prompted: str | None = None  # the prompted gesture, None outside Prompted
     deadline_tick: int = 0
     ponder_until: int = 0
 
@@ -77,7 +77,6 @@ class BehaviorEngine:
         self,
         attention: AttentionState,
         face_area_ratio: float,
-        tick: int,
         rng: np.random.Generator,
     ) -> Routine | None:
         """Highest-priority contingent responses; None hands control down."""
@@ -154,24 +153,24 @@ class BehaviorEngine:
         face_area_ratio: float,
         tick: int,
         rng: np.random.Generator,
-        decision: bool = False,
         policy_fn=None,
     ) -> tuple[Routine, str]:
-        """Run one arbitration pass; returns (displayed routine, cause)."""
+        """Run one arbitration pass; returns (displayed routine, cause). The
+        scheduler runs only when `policy_fn` is given: on decision ticks."""
         st = self.state
         new, cause = None, "none"
 
         if tick < st.override_until:
             new, cause = st.current, "game"  # Reward/Scold hold for their duration
         else:
-            reflex = self.reflex_step(attention, face_area_ratio, tick, rng)
+            reflex = self.reflex_step(attention, face_area_ratio, rng)
             if reflex is not None:
                 new, cause = reflex, "reflex"
             else:
                 game = self.simon_step(attention, tick, rng)
                 if game is not None:
                     new, cause = game, "game"
-                elif decision and policy_fn is not None:
+                elif policy_fn is not None:
                     chosen = self.scheduler_tick(rng, policy_fn)
                     if chosen is not None:
                         st.policy_routine = chosen

@@ -53,6 +53,8 @@ class EpisodeConfig:
     def validate(self) -> "EpisodeConfig":
         if self.mode not in ("labels", "pixels"):
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
+        if not self.out_dir:
+            raise ConfigError("episode.out", "must name an output directory")
         # a background as bright as a face reads as one face filling the frame
         if self.mode == "pixels" and not self.scene.bg_intensity < FACE_THRESHOLD:
             raise ConfigError(
@@ -200,10 +202,7 @@ def _read(parser, section) -> dict:
     return values
 
 
-def _attending(att: str) -> int:
-    if att not in ("attending", "notattending"):
-        raise ValueError(f"expected attending or notattending, got {att!r}")
-    return int(att == "attending")
+ATTENDING = {"notattending": 0, "attending": 1}  # [p_star] key part -> attending index
 
 
 def _load_profile(parser) -> ViewerProfile:
@@ -213,35 +212,24 @@ def _load_profile(parser) -> ViewerProfile:
     n = len(routines)
     p = base.p_star.copy() if routines == base.routines else np.full((n, 2, n), 0.5)
     profile = ViewerProfile(p_star=p, **values)
+    # configparser lowercases option names, so routine names match case-insensitively
+    index = {r.value.lower(): i for i, r in enumerate(routines)}
     if parser.has_section("p_star"):
         for key, raw in parser.items("p_star"):
             parts = key.split(".")
             try:
                 value = float(raw)
-                if len(parts) == 2:  # <attending|notattending>.<action>
-                    att, action = parts
-                    j = _attending(att)
-                    l = profile.index(Routine(_canonical(action, routines)))
-                    profile.p_star[:, j, l] = value
-                elif len(parts) == 3:  # <state_routine>.<att>.<action>
-                    sr, att, action = parts
-                    i = profile.index(Routine(_canonical(sr, routines)))
-                    j = _attending(att)
-                    l = profile.index(Routine(_canonical(action, routines)))
-                    profile.p_star[i, j, l] = value
-                else:
+                if len(parts) not in (2, 3):
                     raise ValueError("expected att.action or routine.att.action")
-            except (ValueError, KeyError) as exc:
+                # a two-part key sets the cell in every state routine
+                *state, att, action = parts
+                i = index[state[0]] if state else slice(None)
+                profile.p_star[i, ATTENDING[att], index[action]] = value
+            except ValueError as exc:
                 raise ConfigError(f"p_star.{key}", str(exc)) from exc
+            except KeyError as exc:
+                raise ConfigError(f"p_star.{key}", f"unknown name {exc}") from exc
     return profile
-
-
-def _canonical(name: str, routines) -> str:
-    # configparser lowercases option names; match case-insensitively
-    for r in routines:
-        if r.value.lower() == name.lower():
-            return r.value
-    return name
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> EpisodeConfig:

@@ -54,10 +54,6 @@ class RectTooSmall(ValueError):
     pass
 
 
-class InsufficientHistory(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class FaceRect:
     x: int
@@ -333,9 +329,10 @@ def fuse_orientation(s: float, e: float, prev_label: str) -> str:
 
 def estimate_jerk(track) -> float:
     """Euclidean norm of the 4th-order finite difference of the last five
-    head positions. `track` is any sized iterable of (x, y), oldest first."""
+    head positions, or 0.0 for fewer than five. `track` is any sized
+    iterable of (x, y), oldest first."""
     if len(track) < 5:
-        raise InsufficientHistory(f"need 5 positions, have {len(track)}")
+        return 0.0
     *_, (x0, y0), (x1, y1), (x2, y2), (x3, y3), (x4, y4) = track
     return float(np.hypot(x4 - 4 * x3 + 6 * x2 - 4 * x1 + x0, y4 - 4 * y3 + 6 * y2 - 4 * y1 + y0))
 
@@ -394,8 +391,7 @@ class FaceTracker:
         e = edge_cog_offset(frame, rect)
         self.label = fuse_orientation(s, e, self.label)
         self.centers.append(rect.center)
-        jerk = estimate_jerk(self.centers) if len(self.centers) == 5 else 0.0
-        return rect, s, e, self.label, jerk
+        return rect, s, e, self.label, estimate_jerk(self.centers)
 
 
 def _bounds(mask: np.ndarray) -> tuple[int, int, int, int]:

@@ -12,7 +12,6 @@ a golden log test.
 from __future__ import annotations
 
 import csv
-import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -63,7 +62,9 @@ class PixelPipeline:
         self.pose_refs = viewer.build_pose_references(cfg.scene)
         self.gestures: dict[bytes, str] = {}
 
-    def process(self, face_frame, body_frame, evaluator: AttentionEvaluator):
+    def process(self, face_frame, body_frame):
+        """(orientation label or None, jerk, gesture or None, face-area
+        ratio) of one pair of frames."""
         cues = self.faces.observe(face_frame)
         if cues is None:
             orientation_label, jerk, ratio = None, 0.0, 0.0
@@ -81,9 +82,7 @@ class PixelPipeline:
                 if len(self.gestures) == GESTURE_MEMO_SIZE:
                     del self.gestures[next(iter(self.gestures))]
                 self.gestures[key] = gesture
-
-        attention = evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
-        return attention, ratio, jerk, orientation_label
+        return orientation_label, jerk, gesture, ratio
 
 
 def run_episode(cfg: EpisodeConfig):
@@ -128,23 +127,21 @@ def run_episode(cfg: EpisodeConfig):
         if decision and learner.previous is not None:
             s_prev, a_prev = learner.previous
             viewer.step_viewer(profile, vstate, s_prev.routine, s_prev.attending, a_prev, rng_viewer)
-        prompt = engine.state.game.prompted if engine.state.game.phase == "Prompted" else None
-        viewer.frame_update(vstate, prompt, rng_viewer, profile.compliance)
+        viewer.frame_update(vstate, engine.state.game.prompted, rng_viewer, profile.compliance)
 
-        # 2. perception
+        # 2. perception: both modes give the same cues, fused here
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
-            jerk = face.estimate_jerk(label_jerk_window) if len(label_jerk_window) == 5 else 0.0
-            orientation_label = viewer.true_orientation(vstate.yaw)
-            attention = evaluator.evaluate(orientation_label, jerk, vstate.pose)
-            ratio = label_ratio
+            cues = viewer.true_orientation(vstate.yaw), face.estimate_jerk(label_jerk_window), vstate.pose, label_ratio
         else:
             face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
             body_frame = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)
             if frames_dir is not None:
                 write_pgm(face_frame, os.path.join(frames_dir, f"face_{tick:06d}.pgm"))
                 write_pgm(body_frame, os.path.join(frames_dir, f"body_{tick:06d}.pgm"))
-            attention, ratio, jerk, orientation_label = pipeline.process(face_frame, body_frame, evaluator)
+            cues = pipeline.process(face_frame, body_frame)
+        orientation_label, jerk, gesture, ratio = cues
+        attention = evaluator.evaluate(orientation_label, jerk, gesture)
 
         # 3. learning at the decision tick: attribute reward, refresh model/values
         if decision:
@@ -155,7 +152,7 @@ def run_episode(cfg: EpisodeConfig):
         #    epsilon draw from the policy stream)
         explored = False
         old_routine = engine.state.current
-        routine, cause = engine.frame_step(attention, ratio, tick, rng_sched, decision=decision, policy_fn=policy_fn)
+        routine, cause = engine.frame_step(attention, ratio, tick, rng_sched, policy_fn if decision else None)
         if routine != old_routine:
             log.transitions.append((tick, old_routine.value, routine.value, cause))
 
@@ -241,11 +238,7 @@ def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) ->
     # tick 0 is a decision tick, taken in the engine's initial policy routine
     oracle_value = values[(profile.routines[0], bool(decision_rows[0]["attending"]))]
 
-    agreement = 0
-    states = [(r, att) for r in profile.routines for att in (False, True)]
-    for r, att in states:
-        if learner.q.greedy(StateId(r, att)) == policy[(r, att)]:
-            agreement += 1
+    agreement = sum(learner.q.greedy(StateId(r, att)) == action for (r, att), action in policy.items())
 
     return {
         "decisions": len(decision_rows),
@@ -256,7 +249,7 @@ def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) ->
         "oracle_value": oracle_value,
         "regret": oracle_value - realized,
         "exploration_rate": float(np.mean([r["explore"] for r in decision_rows])),
-        "greedy_agreement": agreement / len(states),
+        "greedy_agreement": agreement / len(policy),
     }
 
 
@@ -277,13 +270,6 @@ def write_transitions_csv(log: EpisodeLog, path) -> None:
         writer = csv.writer(f)
         writer.writerow(["tick", "old", "new", "cause"])
         writer.writerows(log.transitions)
-
-
-def log_digest(log: EpisodeLog) -> str:
-    h = hashlib.sha256()
-    for row in log.rows:
-        h.update(repr([row[k] for k in LOG_FIELDS]).encode())
-    return h.hexdigest()
 
 
 def save_episode(cfg: EpisodeConfig, log: EpisodeLog, learner: Learner) -> dict:

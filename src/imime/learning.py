@@ -87,12 +87,6 @@ class TransitionModel:
         n = len(self.routines)
         self.p = np.full((n, 2, n), 0.5) if p is None else np.asarray(p, float)
 
-    @classmethod
-    def from_table(cls, table: OutcomeTable) -> "TransitionModel":
-        total = table.k + table.m
-        p = np.where(total > 0, table.k / np.maximum(total, 1), 0.5)
-        return cls(table.routines, p)
-
     def refresh_cell(self, table: OutcomeTable, s: StateId, a: Routine) -> None:
         i, j, l = table._cell(s, a)
         self.p[i, j, l] = estimate_transition(int(table.k[i, j, l]), int(table.m[i, j, l]))
@@ -223,7 +217,7 @@ class Learner:
     def __init__(self, routines: tuple[Routine, ...], cfg: PolicyConfig | None = None):
         self.cfg = cfg or PolicyConfig()
         self.table = OutcomeTable(routines)
-        self.model = TransitionModel.from_table(self.table)
+        self.model = TransitionModel(routines)
         self.q = update_values(self.model, self.cfg)
         self.previous: tuple[StateId, Routine] | None = None
 

@@ -222,7 +222,7 @@ def test_criterion_6_vision_accuracy():
     track = []
     for x, y in positions:
         track.append((x, y))
-        jerk_trace.append(face.estimate_jerk(track) if len(track) >= 5 else 0.0)
+        jerk_trace.append(face.estimate_jerk(track))
     burst_ok = max(jerk_trace[10:22]) > 12.0 and max(jerk_trace[40:52]) > 12.0
 
     cubic_track = []

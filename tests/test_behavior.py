@@ -39,38 +39,38 @@ def test_erratic_has_top_priority():
     e = engine()
     e.state.face_was_present = False
     # erratic beats both the new-face and distance rules
-    out = e.reflex_step(att(face=True, erratic=True), 0.9, 0, CoinStub())
+    out = e.reflex_step(att(face=True, erratic=True), 0.9, CoinStub())
     assert out == Routine.Puzzled
 
 
 def test_face_lost_picks_an_idle_routine():
     e = engine()
     e.state.face_was_present = True
-    assert e.reflex_step(att(face=False), 0.0, 0, CoinStub([0.2])) == Routine.IdleGazeWander
+    assert e.reflex_step(att(face=False), 0.0, CoinStub([0.2])) == Routine.IdleGazeWander
     e.state.face_was_present = True
-    assert e.reflex_step(att(face=False), 0.0, 0, CoinStub([0.9])) == Routine.IdleDrum
+    assert e.reflex_step(att(face=False), 0.0, CoinStub([0.9])) == Routine.IdleDrum
 
 
 def test_no_face_stays_in_chosen_idle():
     e = engine()
     e.state.face_was_present = False
     e.state.current = Routine.IdleDrum
-    assert e.reflex_step(att(face=False), 0.0, 0, CoinStub()) == Routine.IdleDrum
+    assert e.reflex_step(att(face=False), 0.0, CoinStub()) == Routine.IdleDrum
 
 
 def test_new_face_triggers_beckon():
     e = engine()
     e.state.face_was_present = False
-    assert e.reflex_step(att(face=True), 0.1, 0, CoinStub()) == Routine.Beckon
+    assert e.reflex_step(att(face=True), 0.1, CoinStub()) == Routine.Beckon
 
 
 def test_distance_bounds_trigger_guide():
     e = engine(r_lo=0.02, r_hi=0.30)
     e.state.face_was_present = True
-    assert e.reflex_step(att(), 0.01, 0, CoinStub()) == Routine.DistanceGuide
-    assert e.reflex_step(att(), 0.31, 0, CoinStub()) == Routine.DistanceGuide
-    assert e.reflex_step(att(), 0.02, 0, CoinStub()) is None
-    assert e.reflex_step(att(), 0.30, 0, CoinStub()) is None
+    assert e.reflex_step(att(), 0.01, CoinStub()) == Routine.DistanceGuide
+    assert e.reflex_step(att(), 0.31, CoinStub()) == Routine.DistanceGuide
+    assert e.reflex_step(att(), 0.02, CoinStub()) is None
+    assert e.reflex_step(att(), 0.30, CoinStub()) is None
 
 
 # --- scheduler ---------------------------------------------------------------------
@@ -161,6 +161,20 @@ def test_correct_gesture_after_deadline_does_not_reward():
     assert out != Routine.Reward
 
 
+def test_prompted_is_none_outside_the_prompted_phase():
+    # the episode loop hands `game.prompted` to the viewer as the prompt of every frame
+    e = engine(t_idle=1.0, t_ponder=0.5, t_resp=1.0, t_feedback=0.5)
+    rng = np.random.default_rng(0)
+    phases = set()
+    for t in range(2000):
+        gesture = GESTURES[int(rng.integers(len(GESTURES)))] if rng.random() < 0.05 else None
+        e.frame_step(att(face=True, attending=bool(rng.random() < 0.3), gesture=gesture), 0.1, t, rng)
+        game = e.state.game
+        phases.add(game.phase)
+        assert (game.prompted is None) == (game.phase != "Prompted"), (t, game)
+    assert phases == {"Idle", "Pondering", "Prompted"}
+
+
 # --- frame_step arbitration --------------------------------------------------------------
 
 
@@ -183,10 +197,10 @@ def test_policy_applies_only_on_decision_heads():
     e = engine()
     e.state.face_was_present = True
     e.state.last_interaction_at = 50
-    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.4]), decision=True, policy_fn=lambda: Routine.Mimic)
+    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.4]), policy_fn=lambda: Routine.Mimic)
     assert routine == Routine.Mimic and cause == "policy"
     assert e.state.policy_routine == Routine.Mimic
-    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 52, CoinStub([0.6]), decision=True, policy_fn=lambda: Routine.Ponder)
+    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 52, CoinStub([0.6]), policy_fn=lambda: Routine.Ponder)
     assert routine == Routine.Mimic  # tails: keep going
     assert e.state.policy_routine == Routine.Mimic
 
@@ -195,7 +209,7 @@ def test_reflex_does_not_overwrite_policy_routine():
     e = engine()
     e.state.face_was_present = True
     e.state.last_interaction_at = 50
-    e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.0]), decision=True, policy_fn=lambda: Routine.Mimic)
+    e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.0]), policy_fn=lambda: Routine.Mimic)
     assert e.state.policy_routine == Routine.Mimic
     routine, cause = e.frame_step(att(face=True, attending=True, erratic=True), 0.1, 52, CoinStub())
     assert routine == Routine.Puzzled and cause == "reflex"

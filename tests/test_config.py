@@ -189,6 +189,17 @@ def test_out_of_range_key_exits_2_naming_it(tmp_path, capsys, command, section, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("ini, argv", [("[episode]\nout =\n", []), ("", ["--out", ""])])
+def test_empty_output_directory_exits_2_before_running(tmp_path, capsys, monkeypatch, ini, argv):
+    monkeypatch.setattr(harness, "run_episode", lambda cfg: pytest.fail("the episode ran"))
+    path = write(tmp_path, ini)
+    assert cli.main(["run", "--config", path, "--steps", "10", *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: episode.out:")
+    with pytest.raises(ConfigError) as exc:
+        EpisodeConfig(out_dir="").validate()
+    assert exc.value.key == "episode.out"
+
+
 def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
     # each of these alone was accepted and ran with exit 0; the first is named
     path = write(tmp_path, "[behavior]\nt_resp = -5\nr_lo = 0.5\nr_hi = 0.1\n[fusion]\nk_erratic = -3\ntau_jerk = nan\n")

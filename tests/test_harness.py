@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,13 @@ from imime.viewer import ViewerProfile, default_profile
 # 200 frames, seed 7, all defaults). Any change to the RNG stream order,
 # log schema, or loop structure shows up here first.
 GOLDEN_DIGEST = "20cc033f35226a0ca6f95ff1f42538ef6cd0f14060058f3c9cc65f79d0e36a07"
+
+
+def log_digest(log: harness.EpisodeLog) -> str:
+    h = hashlib.sha256()
+    for row in log.rows:
+        h.update(repr([row[k] for k in harness.LOG_FIELDS]).encode())
+    return h.hexdigest()
 
 
 def run(steps=200, seed=7, **over):
@@ -66,15 +74,15 @@ def test_transitions_recorded_with_causes():
 
 def test_fixed_seed_reproduces_golden_digest():
     _, log, _ = run(steps=200, seed=7)
-    assert harness.log_digest(log) == GOLDEN_DIGEST
+    assert log_digest(log) == GOLDEN_DIGEST
 
 
 def test_same_seed_same_log_different_seed_different():
     _, log_a, _ = run(seed=7)
     _, log_b, _ = run(seed=7)
     _, log_c, _ = run(seed=8)
-    assert harness.log_digest(log_a) == harness.log_digest(log_b)
-    assert harness.log_digest(log_a) != harness.log_digest(log_c)
+    assert log_digest(log_a) == log_digest(log_b)
+    assert log_digest(log_a) != log_digest(log_c)
 
 
 def test_label_mode_jerk_equals_array_form(monkeypatch):
@@ -100,6 +108,19 @@ def test_label_mode_jerk_equals_array_form(monkeypatch):
         d = p[4] - 4 * p[3] + 6 * p[2] - 4 * p[1] + p[0]
         assert jerks[t].hex() == float(np.hypot(d[0], d[1])).hex(), t
     assert max(jerks) > cfg.fusion.tau_jerk
+
+
+@pytest.mark.parametrize("mode", ["labels", "pixels"])
+def test_cues_are_fused_once_per_frame(monkeypatch, mode):
+    cues, evaluate = [], AttentionEvaluator.evaluate
+
+    def recording_evaluate(self, orientation_label, jerk, gesture):
+        cues.append((orientation_label, jerk))
+        return evaluate(self, orientation_label, jerk, gesture)
+
+    monkeypatch.setattr(AttentionEvaluator, "evaluate", recording_evaluate)
+    log, _ = harness.run_episode(load_config(None, {"mode": mode, "steps": 30, "seed": 3}))
+    assert [(r["orientation"], r["jerk"]) for r in log.rows] == [(o or "NoFace", round(j, 6)) for o, j in cues]
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
@@ -168,18 +189,6 @@ def test_pixel_episodes_back_to_back_match_fresh_runs(tmp_path, capsys):
             assert not viewer.silhouette_mask(label, viewer.SceneConfig(*side)).flags.writeable
 
 
-class GestureSpy:
-    """Passes each frame's cues on to the episode's evaluator and keeps the
-    gesture the pipeline gave it."""
-
-    def __init__(self, evaluator):
-        self.evaluator, self.gesture = evaluator, "not called"
-
-    def evaluate(self, orientation_label, jerk, gesture):
-        self.gesture = gesture
-        return self.evaluator.evaluate(orientation_label=orientation_label, jerk=jerk, gesture=gesture)
-
-
 @pytest.mark.parametrize(
     "scene, steps, evicts",
     [
@@ -194,18 +203,17 @@ def test_memoized_gestures_equal_a_fresh_classification(tmp_path, monkeypatch, s
     process = harness.PixelPipeline.process
     seen, frames = set(), []
 
-    def checked(self, face_frame, body_frame, evaluator):
-        spy = GestureSpy(evaluator)
-        result = process(self, face_frame, body_frame, spy)
+    def checked(self, face_frame, body_frame):
+        cues = process(self, face_frame, body_frame)
         mask = body.segment_foreground(self.background, body_frame)
         fresh = None
         if mask.mean() >= 0.01:
             fresh = body.classify_pose(body.drape(mask), self.pose_refs)
             seen.add(body.supports(mask).tobytes())
-        assert spy.gesture == fresh
+        assert cues[2] == fresh
         assert len(self.gestures) <= harness.GESTURE_MEMO_SIZE
         frames.append(fresh)
-        return result
+        return cues
 
     monkeypatch.setattr(harness.PixelPipeline, "process", checked)
     ini = tmp_path / "memo.ini"
@@ -226,11 +234,10 @@ def test_mirrored_poses_keep_their_own_gestures():
     rng = np.random.default_rng(0)
     pipeline = harness.PixelPipeline(cfg, rng)
     face_frame = viewer.synthesize_face_frame(viewer.ViewerState(), cfg.scene, rng)
-    spy = GestureSpy(AttentionEvaluator(cfg.fusion))
     got = []
     for label in viewer.POSE_LABELS * 2:
-        pipeline.process(face_frame, viewer.synthesize_body_frame(label, cfg.scene, rng), spy)
-        got.append(spy.gesture)
+        _, _, gesture, _ = pipeline.process(face_frame, viewer.synthesize_body_frame(label, cfg.scene, rng))
+        got.append(gesture)
     assert got == list(viewer.POSE_LABELS * 2)
     assert len(pipeline.gestures) == len(viewer.POSE_LABELS)
 
@@ -469,6 +476,50 @@ def test_cli_run_and_plot(tmp_path, capsys):
     with open(plot_out, "rb") as f:
         digest = hashlib.sha256(f.read()).hexdigest()
     assert digest == "89d78664323cf7b9085cf12eb0779058fbb5aeb4073f4eeab804a2c345ba8be1"
+
+
+@pytest.fixture
+def episode_log(tmp_path):
+    """episode.csv of a 110-decision label run: two curve windows."""
+    out = tmp_path / "run"
+    assert cli.main(["run", "--steps", "2200", "--seed", "2", "--out", str(out)]) == 0
+    return out / "episode.csv"
+
+
+def test_cli_plot_png_without_matplotlib_writes_the_csv(tmp_path, capsys, monkeypatch, episode_log):
+    assert cli.main(["plot", "--log", str(episode_log), "--out", str(tmp_path / "direct.csv")]) == 0
+    monkeypatch.setitem(sys.modules, "matplotlib", None)  # `import matplotlib` raises ImportError
+    capsys.readouterr()
+    assert cli.main(["plot", "--log", str(episode_log), "--out", str(tmp_path / "curve.png")]) == 0
+    assert "matplotlib unavailable, degrading to CSV" in capsys.readouterr().err
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert not (tmp_path / "curve.png").exists()
+
+
+def test_cli_plot_png_draws_the_attention_windows(tmp_path, capsys, monkeypatch, episode_log):
+    drawn = {}
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.figure = pyplot.xlabel = pyplot.ylabel = pyplot.title = lambda *args, **kwargs: None
+    pyplot.plot = lambda xs, ys, **kwargs: drawn.update(xs=list(xs), ys=list(ys))
+    pyplot.savefig = lambda path, **kwargs: drawn.update(path=path)
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: drawn.update(backend=backend)
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    png = str(tmp_path / "curve.png")
+    capsys.readouterr()
+    assert cli.main(["plot", "--log", str(episode_log), "--out", png]) == 0
+    with open(episode_log, newline="") as f:
+        rewards = [int(r["reward"]) for r in csv.DictReader(f) if int(r["decision"])]
+    assert len(rewards) == 110
+    assert drawn == {
+        "backend": "Agg",
+        "xs": [0, harness.CURVE_WINDOW],
+        "ys": harness.attention_windows(rewards),
+        "path": png,
+    }
+    assert capsys.readouterr().out == f"wrote {png}\n"
 
 
 def test_cli_oracle(capsys):

@@ -89,17 +89,16 @@ def test_outcome_table_empty_routines():
         OutcomeTable(())
 
 
-def test_model_from_table_matches_pointwise_estimate():
-    rng = np.random.default_rng(9)
-    t = OutcomeTable(R4)
-    t.k = rng.integers(0, 50, size=t.k.shape)
-    t.m = rng.integers(0, 50, size=t.m.shape)
-    t.k[0, 0, 0] = t.m[0, 0, 0] = 0  # keep one unvisited cell
-    model = TransitionModel.from_table(t)
-    for i in range(4):
-        for j in (0, 1):
-            for l in range(4):
-                assert model.p[i, j, l] == estimate_transition(int(t.k[i, j, l]), int(t.m[i, j, l]))
+def test_learner_model_matches_pointwise_estimate():
+    # the learner starts from 0.5 everywhere and refreshes one cell per
+    # outcome, so after a long run every cell is the MAP estimate of its counts
+    cfg = load_config(None, {"steps": 2000, "frame_rate": 1.0, "decision_period": 1.0, "seed": 5})
+    _, learner = harness.run_episode(cfg)
+    t = learner.table
+    assert int(t.k.sum() + t.m.sum()) == 1999
+    assert (t.k + t.m == 0).any() and (t.k + t.m > 0).any()
+    for i, j, l in np.ndindex(t.k.shape):
+        assert learner.model.p[i, j, l] == estimate_transition(int(t.k[i, j, l]), int(t.m[i, j, l]))
 
 
 # --- value iteration -----------------------------------------------------------------
