@@ -44,13 +44,15 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.out == "":
+        raise ConfigError("--out", "must name an output file")
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".pgm") and f.startswith("face_"))
     if not names:
         print(f"no face_*.pgm frames in {args.frames}", file=sys.stderr)
         return 3
     faces = face.FaceTracker()
     prev_frame = None
-    out_path = args.out or os.path.join(args.frames, "analysis.csv")
+    out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion", "expression"])

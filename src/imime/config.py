@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -55,6 +56,13 @@ class EpisodeConfig:
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
         if not self.out_dir:
             raise ConfigError("episode.out", "must name an output directory")
+        # the episode writes its files only once it has run, so a path whose
+        # nearest existing part is not a directory fails here instead
+        head = self.out_dir
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ConfigError("episode.out", f"{head} exists and is not a directory")
         # a background as bright as a face reads as one face filling the frame
         if self.mode == "pixels" and not self.scene.bg_intensity < FACE_THRESHOLD:
             raise ConfigError(

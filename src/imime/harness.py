@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -188,26 +189,42 @@ def oracle_policy(profile: viewer.ViewerProfile, gamma: float, tol: float = 1e-1
     (routines[i], attending) has index 2 * i + attending; each (state,
     action) is looked up once as (p, index of the attending successor,
     index of the inattentive one).
+
+    Two states whose rows hold the same attend probabilities, bit for bit,
+    get the same update from the same 0.0 start, so they hold equal values
+    in every sweep (exact state aggregation). The sweeps therefore run over
+    the distinct rows only, with successors mapped to their rows; each
+    state takes its row's value at the end. A row's value moves as much as
+    each of its states' values, so the stopping test is unchanged. The
+    default profile, and any made with two-part `[p_star]` keys, has 2
+    distinct rows among its 8 states. A three-part key splits its state's
+    row off; when every row differs, every row is swept as before.
     """
     states = [(r, att) for r in profile.routines for att in (False, True)]
     actions = [
         [(profile.prob(r, att, a), 2 * l + 1, 2 * l) for l, a in enumerate(profile.routines)] for r, att in states
     ]
-    v = [0.0] * len(states)
+    # successors depend only on the action, so rows with the same bits of p
+    # are equal; comparing the packed bits keeps 0.0 and -0.0 apart
+    distinct: dict[bytes, int] = {}
+    of = [distinct.setdefault(struct.pack(f"{len(row)}d", *[p for p, _, _ in row]), len(distinct)) for row in actions]
+    rows = [[(p, of[t], of[f]) for p, t, f in actions[of.index(g)]] for g in range(len(distinct))]
+    w = [0.0] * len(rows)
     for _ in range(1_000_000):
-        new_v = []
+        new_w = []
         delta = 0.0
-        for s, row in enumerate(actions):
+        for g, row in enumerate(rows):
             best = None
             for p, t, f in row:
-                q = p * (1.0 + gamma * v[t]) + (1.0 - p) * gamma * v[f]
+                q = p * (1.0 + gamma * w[t]) + (1.0 - p) * gamma * w[f]
                 if best is None or q > best:
                     best = q
-            new_v.append(best)
-            delta = max(delta, abs(best - v[s]))
-        v = new_v
+            new_w.append(best)
+            delta = max(delta, abs(best - w[g]))
+        w = new_w
         if delta < tol:
             break
+    v = [w[g] for g in of]
     policy = {}
     for s, row in zip(states, actions):
         best_l, best_q = None, None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import sub
 
 import numpy as np
 
@@ -128,21 +129,25 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     history is kept on the returned table for inspection.
 
     A sweep sees the one before only through the 2n state values (row
-    maxima). So the state values are carried forward in plain floats, each
-    through the entry that is its row maximum now, and then numpy evaluates
-    a batch of sweeps at once with the same operations as one sweep of the
+    maxima). So each batch computes its first sweep of the whole table in
+    plain floats, with the operations of the numpy sweep, and carries the
+    state values onward from that sweep's row maxima, each through its row's
+    first maximiser (numpy's argmax tie rule). Then numpy evaluates the
+    batch's sweeps at once with the same operations as one sweep of the
     whole table. A batch keeps its sweeps up to the first one whose row
     maxima differ from the carried values, so tables and residuals equal
     those of sweeping the whole table one sweep at a time.
 
-    How many sweeps to carry is predicted from the move m of the state
-    values in the first carried sweep: the residual of sweep k + 1 is at
-    most gamma**k * m, so 2 + ceil(log(tol / m) / log(gamma)) carried values
-    reach tol unless a row's argmax changes on the way. The prediction only
-    sets the batch length; which sweeps are kept and where the residual
-    first drops below tol are still decided on the numpy sweeps, so a short
-    guess costs one more batch and a long one a few unused sweeps, never a
-    different output.
+    How many sweeps to carry is read from the observed contraction. If the
+    state values move by m in a sweep, the residual of the next sweep is at
+    most gamma * m, so the carry goes on while gamma * m >= tol, up to
+    VI_BATCH or the sweeps left. The move is measured on two successive
+    sweeps; their ratio, capped at gamma, predicts how many more sweeps bring
+    gamma * m below tol, and those are carried without measuring. The
+    prediction only sets the batch length; which sweeps are kept and where
+    the residual first drops below tol are still decided on the numpy
+    sweeps, so a short guess costs one more batch and a long one a few
+    unused sweeps, never a different output.
     """
     cfg = cfg or PolicyConfig()
     n = len(model.routines)
@@ -150,25 +155,45 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     p = model.p.reshape(2 * n, n)
     q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
     gamma, tol = cfg.gamma, cfg.tol
+    cols = p.T.tolist()  # per action, its p in each state
     residuals = []
     while len(residuals) < cfg.max_sweeps:
-        best = q.argmax(axis=1)
-        terms = list(zip(p[np.arange(2 * n), best].tolist(), (2 * best + 1).tolist(), (2 * best).tolist()))
         v = q.max(axis=1).tolist()  # value of best action in each state
         flat = list(v)
         size = min(VI_BATCH, cfg.max_sweeps - len(residuals))
         if size > 1:
-            v = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
-            moved = max(abs(a - b) for a, b in zip(v, flat))
-            if moved < tol or gamma == 0.0:
-                size = 2
-            else:
-                size = min(size, 2 + math.ceil(math.log(tol / moved) / math.log(gamma)))
+            # the first sweep, one action column at a time
+            v_not = v[0::2]
+            columns = [
+                [pa + gamma * (pa * d + vn) for pa in col] for col, d, vn in zip(cols, map(sub, v[1::2], v_not), v_not)
+            ]
+            first = list(zip(*columns))  # each state's row of the first sweep
+            prev, v = v, list(map(max, first))
+            terms = [(cols[b][s], 2 * b + 1, 2 * b) for s, b in enumerate(map(tuple.index, first, v))]
             flat += v
-            for _ in range(size - 2):
-                v = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
+            # the move of the last carried sweep, and whether the one before
+            # it was measured too
+            count, move, paired = 2, max(map(abs, map(sub, v, prev))), True
+            while count < size and gamma * move >= tol:
+                prev, v = v, [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
                 flat += v
-        vs = np.array(flat).reshape(size, 2 * n)
+                count += 1
+                before, move = move, max(map(abs, map(sub, v, prev)))
+                if paired and gamma * move >= tol:
+                    # the ratio of two successive moves, capped at gamma,
+                    # predicts the sweeps until gamma * move < tol; all but
+                    # the last two of them are carried unmeasured
+                    ratio = min(gamma, move / before)
+                    skip = math.ceil(math.log(tol / (gamma * move)) / math.log(ratio)) - 2
+                    for _ in range(min(skip, size - count)):
+                        v = [pb + gamma * (pb * (v[att] - v[nat]) + v[nat]) for pb, att, nat in terms]
+                        flat += v
+                        count += 1
+                    paired = skip <= 0  # else the next move follows unmeasured sweeps
+                else:
+                    paired = True
+            size = count
+        vs = np.fromiter(flat, float, len(flat)).reshape(size, 2 * n)
         v_att = vs[:, None, 1::2]  # successor state (action routine, attending=True)
         v_not = vs[:, None, 0::2]
         sweeps = np.empty((size + 1, 2 * n, n))

@@ -3,6 +3,7 @@ from pathlib import Path
 import contextlib
 import copy
 import io
+import os
 import re
 import tempfile
 
@@ -198,6 +199,22 @@ def test_empty_output_directory_exits_2_before_running(tmp_path, capsys, monkeyp
     with pytest.raises(ConfigError) as exc:
         EpisodeConfig(out_dir="").validate()
     assert exc.value.key == "episode.out"
+
+
+@pytest.mark.parametrize("under", ["", "sub", "sub/dir/"])
+@pytest.mark.parametrize("via", ["ini", "flag"])
+def test_output_directory_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch, via, under):
+    # it ran the whole episode, then exited 3 on os.makedirs: [Errno 17] File
+    # exists, or [Errno 20] Not a directory for a path below the file
+    monkeypatch.setattr(harness, "run_episode", lambda cfg: pytest.fail("the episode ran"))
+    taken = tmp_path / "taken.csv"
+    taken.write_text("kept\n")
+    out = os.path.join(taken, under) if under else str(taken)
+    path = write(tmp_path, f"[episode]\nout = {out}\n" if via == "ini" else "")
+    argv = ["--out", out] if via == "flag" else []
+    assert cli.main(["run", "--config", path, "--steps", "10", *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: episode.out:")
+    assert taken.read_text() == "kept\n"
 
 
 def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):

@@ -3,12 +3,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imime
@@ -310,6 +311,68 @@ def test_oracle_policy_equals_reference_exactly(case):
     assert [v.hex() for v in values.values()] == [v.hex() for v in ref_values.values()]
 
 
+def _two_part_key_profile(routines, keys):
+    """The profile `load_config` makes from two-part `[p_star]` keys, each
+    of which sets one (attending, action) cell in every state routine."""
+    names = ", ".join(r.value for r in routines)
+    lines = [f"{att}.{action.value.lower()} = {value!r}" for (att, action), value in keys.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.ini")
+        with open(path, "w") as f:
+            f.write(f"[profile]\nroutines = {names}\n[p_star]\n" + "".join(line + "\n" for line in lines))
+        return load_config(path).profile
+
+
+@st.composite
+def _repeated_rows_case(draw):
+    """Profiles whose state rows repeat across state routines: the default
+    profile, two-part-key profiles, and rows shared by a random subset of
+    state routines."""
+    gamma = draw(st.floats(0.0, 0.99))
+    tol = 10.0 ** -draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["default", "two_part", "shared"]))
+    if kind == "default":
+        return default_profile(), gamma, tol
+    routines = tuple(draw(st.permutations(list(Routine)))[: draw(st.integers(1, 4))])
+    if kind == "two_part":
+        if draw(st.booleans()):
+            routines = default_profile().routines  # the default cells, some of them overridden
+        cells = st.tuples(st.sampled_from(["attending", "notattending"]), st.sampled_from(routines))
+        values = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+        profile = _two_part_key_profile(routines, draw(st.dictionaries(cells, values, max_size=8)))
+        p = profile.p_star
+        assert (p == p[:1]).all()  # every state routine has the same two rows
+        return profile, gamma, tol
+    n = len(routines)
+    p = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2, n))
+    if draw(st.booleans()):
+        p = np.round(p, 1)
+    shared = draw(st.lists(st.integers(0, n - 1), unique=True))
+    for i in shared[1:]:
+        p[i] = p[shared[0]]
+    return ViewerProfile(routines=routines, p_star=p), gamma, tol
+
+
+def _signed_zero_case():
+    # rows equal as floats but not as bits: with gamma -0.0 the all-(-0.0) row
+    # is worth -0.0 and the all-0.0 row 0.0
+    p = np.zeros((2, 2, 2))
+    p[1] = -0.0
+    return ViewerProfile(routines=(Routine.Beckon, Routine.Mimic), p_star=p), -0.0, 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_repeated_rows_case())
+@example(case=_signed_zero_case())
+def test_oracle_policy_equals_reference_on_repeated_rows(case):
+    profile, gamma, tol = case
+    policy, values = harness.oracle_policy(profile, gamma, tol)
+    ref_policy, ref_values = reference_oracle_policy(profile, gamma, tol)
+    assert list(policy.items()) == list(ref_policy.items())
+    assert [v.hex() for v in values.values()] == [v.hex() for v in ref_values.values()]
+    assert list(values) == list(ref_values)
+
+
 def test_oracle_policy_on_default_profile():
     profile = default_profile()
     policy, values = harness.oracle_policy(profile, 0.9)
@@ -565,6 +628,22 @@ def test_cli_analyze_output_unchanged(tmp_path, capsys):
     assert cli.main(["run", "--config", str(ini), "--dump-frames"]) == 0
     assert cli.main(["analyze", "--frames", str(out / "frames")]) == 0, capsys.readouterr().err
     assert hashlib.sha256((out / "frames" / "analysis.csv").read_bytes()).hexdigest() == ANALYSIS_DIGEST
+
+
+def test_cli_analyze_empty_out_exits_2_writing_nothing(tmp_path, capsys):
+    # an empty --out used to fall back to <frames>/analysis.csv and overwrite it
+    out = tmp_path / "px"
+    assert cli.main(["run", "--steps", "2", "--mode", "pixels", "--dump-frames", "--out", str(out)]) == 0
+    previous = out / "frames" / "analysis.csv"
+    previous.write_text("kept\n")
+    capsys.readouterr()
+    assert cli.main(["analyze", "--frames", str(out / "frames"), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: --out:")
+    assert captured.out == ""
+    assert previous.read_text() == "kept\n"
+    frames = ["body_000000.pgm", "body_000001.pgm", "face_000000.pgm", "face_000001.pgm"]
+    assert sorted(os.listdir(out / "frames")) == ["analysis.csv", *frames]
 
 
 def test_cli_config_error_exit_2(tmp_path, capsys):

@@ -227,6 +227,24 @@ def _long_case(gamma, max_sweeps):
     return TransitionModel(R4, p), PolicyConfig(gamma=gamma, tol=1e-12, max_sweeps=max_sweeps), None
 
 
+def _argmax_change_case():
+    """A warm start from a converged table where one changed cell makes
+    another action its row's maximum at the first sweep, as a decision 20
+    frames after the last one often does."""
+    p = np.random.default_rng(3).random((4, 2, 4))
+    cfg = PolicyConfig(gamma=0.9, tol=1e-6)
+    q0 = QTable(R4, _sweep_update_values(TransitionModel(R4, p), cfg)[0])
+    v = q0.q.max(axis=2)  # [routine, attending] state values
+    for cell in np.ndindex(p.shape):
+        changed = p.copy()
+        changed[cell] = 1.0
+        first = changed + cfg.gamma * (changed * (v[:, 1] - v[:, 0]) + v[:, 0])
+        i, j, l = cell
+        if first[i, j].argmax() == l != q0.q[i, j].argmax():
+            return TransitionModel(R4, changed), cfg, q0
+    raise AssertionError("no single cell changes its row's argmax")
+
+
 def test_long_cases_need_more_than_one_batch():
     assert len(update_values(*_long_case(0.99, 10_000)).residuals) > VI_BATCH
     with pytest.raises(NonConvergence):
@@ -239,6 +257,10 @@ def test_long_cases_need_more_than_one_batch():
 @example(case=_long_case(0.999, 10_000))
 @example(case=_long_case(0.9, 1))
 @example(case=_long_case(0.0, 10_000))
+@example(case=_argmax_change_case())
+@example(case=(TransitionModel(R4), PolicyConfig(), None))  # the all-0.5 cold start
+@example(case=_long_case(0.9, 2))  # budgets that cut the carry
+@example(case=_long_case(0.9, 3))
 def test_update_values_bit_identical_to_whole_table_sweeps(case):
     model, cfg, q0 = case
     try:
