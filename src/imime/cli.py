@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import face, harness
-from .config import ConfigError, load_config
+from .config import ConfigError, check_output_path, load_config
 from .frames import read_pgm
 
 
@@ -44,15 +44,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.out == "":
-        raise ConfigError("--out", "must name an output file")
+    if not os.path.isdir(args.frames):
+        raise ConfigError("--frames", f"{args.frames} is not a directory")
+    out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
+    check_output_path("--out", out_path, file=True)
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".pgm") and f.startswith("face_"))
     if not names:
         print(f"no face_*.pgm frames in {args.frames}", file=sys.stderr)
         return 3
     faces = face.FaceTracker()
     prev_frame = None
-    out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion", "expression"])
@@ -76,6 +77,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    if not os.path.isfile(args.log):
+        raise ConfigError("--log", f"{args.log} is not a file")
+    check_output_path("--out", args.out, file=True)
     rewards = []
     with open(args.log, newline="") as f:
         for row in csv.DictReader(f):
@@ -102,10 +106,7 @@ def _cmd_plot(args) -> int:
         except ImportError:
             args.out = args.out[:-4] + ".csv"
             print("matplotlib unavailable, degrading to CSV", file=sys.stderr)
-    with open(args.out, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["decision", "attention_fraction"])
-        writer.writerows(points)
+    harness.write_csv(args.out, ["decision", "attention_fraction"], points)
     print(f"wrote {args.out}")
     return 0
 

@@ -15,7 +15,7 @@ import numpy as np
 from .attention import FusionConfig
 from .behavior import BehaviorConfig, Routine
 from .face import FACE_THRESHOLD
-from .learning import PolicyConfig
+from .learning import MAX_SWEEPS, PolicyConfig
 from .viewer import SceneConfig, SceneError, ViewerProfile, default_profile
 
 
@@ -23,6 +23,23 @@ class ConfigError(ValueError):
     def __init__(self, key: str, message: str):
         super().__init__(f"{key}: {message}")
         self.key = key
+
+
+def check_output_path(key: str, path: str, file: bool = False) -> None:
+    """Raise a ConfigError naming `key` unless `path` can be made as a
+    directory, or with `file` written as a file in an existing directory.
+    Outputs are written after the work, so callers check them before it."""
+    if not path:
+        raise ConfigError(key, f"must name an output {'file' if file else 'directory'}")
+    if file and os.path.isdir(path):
+        raise ConfigError(key, f"{path} is a directory")
+    head = parent = os.path.dirname(path) if file else path
+    while head and not os.path.exists(head):  # the nearest existing part
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(key, f"{head} exists and is not a directory")
+    if file and head != parent:
+        raise ConfigError(key, f"directory {parent} does not exist")
 
 
 @dataclass
@@ -54,15 +71,7 @@ class EpisodeConfig:
     def validate(self) -> "EpisodeConfig":
         if self.mode not in ("labels", "pixels"):
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
-        if not self.out_dir:
-            raise ConfigError("episode.out", "must name an output directory")
-        # the episode writes its files only once it has run, so a path whose
-        # nearest existing part is not a directory fails here instead
-        head = self.out_dir
-        while head and not os.path.exists(head):
-            head = os.path.dirname(head)
-        if head and not os.path.isdir(head):
-            raise ConfigError("episode.out", f"{head} exists and is not a directory")
+        check_output_path("episode.out", self.out_dir)
         # a background as bright as a face reads as one face filling the frame
         if self.mode == "pixels" and not self.scene.bg_intensity < FACE_THRESHOLD:
             raise ConfigError(
@@ -85,18 +94,16 @@ class EpisodeConfig:
             raise ConfigError("learning.gamma", f"gamma must be in [0, 1) (got {learning.gamma})")
         if not learning.tol > 0.0:
             raise ConfigError("learning.tol", f"tol must be > 0 (got {learning.tol})")
-        if learning.max_sweeps < 1:
-            raise ConfigError("learning.max_sweeps", f"max_sweeps must be >= 1 (got {learning.max_sweeps})")
         # Q values lie in [0, 1/(1 - gamma)], so a warm start's first residual
         # is at most 1/(1 - gamma) + gamma * tol, and each sweep shrinks it by
-        # gamma: gamma**(max_sweeps - 1) * (1/(1 - gamma) + gamma * tol) must
-        # be below tol, tested in an equivalent form defined for tol = inf
-        # (past 2**64 sweeps the float power is 0 for every gamma < 1)
-        g, k = learning.gamma, min(learning.max_sweeps, 2**64)
+        # gamma: gamma**(k - 1) * (1/(1 - gamma) + gamma * tol) must be below
+        # tol after k = MAX_SWEEPS sweeps, tested in an equivalent form
+        # defined for tol = inf
+        g, k = learning.gamma, MAX_SWEEPS
         if not g ** (k - 1) / (1.0 - g) < learning.tol * (1.0 - g**k):
             raise ConfigError(
                 "learning.gamma",
-                f"value iteration may not converge to tol {learning.tol} within max_sweeps {k} (got gamma {g})",
+                f"value iteration may not converge to tol {learning.tol} within {k} sweeps (got gamma {g})",
             )
         for key, value in (
             ("learning.epsilon", learning.epsilon),

@@ -200,7 +200,7 @@ def oracle_policy(profile: viewer.ViewerProfile, gamma: float, tol: float = 1e-1
     distinct rows among its 8 states. A three-part key splits its state's
     row off; when every row differs, every row is swept as before.
     """
-    states = [(r, att) for r in profile.routines for att in (False, True)]
+    states = [StateId(r, att) for r in profile.routines for att in (False, True)]
     actions = [
         [(profile.prob(r, att, a), 2 * l + 1, 2 * l) for l, a in enumerate(profile.routines)] for r, att in states
     ]
@@ -255,7 +255,7 @@ def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) ->
     # tick 0 is a decision tick, taken in the engine's initial policy routine
     oracle_value = values[(profile.routines[0], bool(decision_rows[0]["attending"]))]
 
-    agreement = sum(learner.q.greedy(StateId(r, att)) == action for (r, att), action in policy.items())
+    agreement = sum(learner.q.greedy(s) == action for s, action in policy.items())
 
     return {
         "decisions": len(decision_rows),
@@ -273,33 +273,33 @@ def metrics(log: EpisodeLog, learner: Learner, profile: viewer.ViewerProfile) ->
 # --- persistence ----------------------------------------------------------------
 
 LOG_FIELDS = ["tick", "routine", "cause", "attending", "reward", "explore", "jerk", "orientation", "decision"]
+LEARNING_FIELDS = ["state_routine", "state_attending", "action", "k", "m", "p_hat", "q"]
 
 
-def write_log_csv(log: EpisodeLog, path) -> None:
+def write_csv(path, header: list, rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(LOG_FIELDS)
-        writer.writerows(map(itemgetter(*LOG_FIELDS), log.rows))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def write_transitions_csv(log: EpisodeLog, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["tick", "old", "new", "cause"])
-        writer.writerows(log.transitions)
+def learning_rows(learner: Learner):
+    """learning.csv: each (state routine, attending, action) cell's counts, estimate and Q value."""
+    names = [r.value for r in learner.table.routines]
+    k, m, p, q = learner.table.k, learner.table.m, learner.model.p, learner.q.q
+    for i, j, l in np.ndindex(q.shape):
+        yield names[i], j, names[l], int(k[i, j, l]), int(m[i, j, l]), f"{p[i, j, l]:.10g}", f"{q[i, j, l]:.10g}"
 
 
 def save_episode(cfg: EpisodeConfig, log: EpisodeLog, learner: Learner) -> dict:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_log_csv(log, os.path.join(cfg.out_dir, "episode.csv"))
-    write_transitions_csv(log, os.path.join(cfg.out_dir, "transitions.csv"))
-    learner.dump_csv(os.path.join(cfg.out_dir, "learning.csv"))
     summary = metrics(log, learner, cfg.profile)
-    with open(os.path.join(cfg.out_dir, "metrics.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["metric", "value"])
-        for key, value in summary.items():
-            if key == "attention_fraction_windows":
-                value = ";".join(f"{v:.4f}" for v in value)
-            writer.writerow([key, value])
+    windows = ";".join(f"{v:.4f}" for v in summary["attention_fraction_windows"])
+    for name, header, rows in (
+        ("episode.csv", LOG_FIELDS, map(itemgetter(*LOG_FIELDS), log.rows)),
+        ("transitions.csv", ["tick", "old", "new", "cause"], log.transitions),
+        ("learning.csv", LEARNING_FIELDS, learning_rows(learner)),
+        ("metrics.csv", ["metric", "value"], {**summary, "attention_fraction_windows": windows}.items()),
+    ):
+        write_csv(os.path.join(cfg.out_dir, name), header, rows)
     return summary

@@ -9,10 +9,10 @@ bit of the successor is the (binary) reward.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .attention import AttentionState
 from .behavior import Routine
 
 VI_BATCH = 256  # most sweeps evaluated in one batch
+MAX_SWEEPS = 10_000  # sweeps before value iteration raises NonConvergence
 
 
 class UnknownStateOrAction(KeyError):
@@ -36,8 +37,7 @@ class NonConvergence(RuntimeError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class StateId:
+class StateId(NamedTuple):
     routine: Routine
     attending: bool
 
@@ -54,22 +54,21 @@ class OutcomeTable:
         self.k = np.zeros((n, 2, n), dtype=np.int64)  # [state routine, attending, action]
         self.m = np.zeros((n, 2, n), dtype=np.int64)
 
-    def _cell(self, s: StateId, a: Routine) -> tuple[int, int, int]:
+    def cell(self, s: StateId, a: Routine) -> tuple[int, int, int]:
+        """(s, a)'s [state routine, attending, action] index into k, m and the model's p."""
         try:
             return self.index[s.routine], int(s.attending), self.index[a]
         except KeyError as exc:
             raise UnknownStateOrAction(f"unknown routine {exc}") from exc
 
-    def record(self, s: StateId, a: Routine, attended_after: bool) -> None:
-        i, j, l = self._cell(s, a)
+    def record(self, s: StateId, a: Routine, attended_after: bool) -> tuple[int, int, int]:
+        """Count one outcome of (s, a); returns its cell."""
+        c = self.cell(s, a)
         if attended_after:
-            self.k[i, j, l] += 1
+            self.k[c] += 1
         else:
-            self.m[i, j, l] += 1
-
-    def counts(self, s: StateId, a: Routine) -> tuple[int, int]:
-        i, j, l = self._cell(s, a)
-        return int(self.k[i, j, l]), int(self.m[i, j, l])
+            self.m[c] += 1
+        return c
 
 
 def estimate_transition(k: int, m: int) -> float:
@@ -84,16 +83,8 @@ class TransitionModel:
 
     def __init__(self, routines: tuple[Routine, ...], p: np.ndarray | None = None):
         self.routines = tuple(routines)
-        self.index = {r: i for i, r in enumerate(self.routines)}
         n = len(self.routines)
         self.p = np.full((n, 2, n), 0.5) if p is None else np.asarray(p, float)
-
-    def refresh_cell(self, table: OutcomeTable, s: StateId, a: Routine) -> None:
-        i, j, l = table._cell(s, a)
-        self.p[i, j, l] = estimate_transition(int(table.k[i, j, l]), int(table.m[i, j, l]))
-
-    def prob(self, s: StateId, a: Routine) -> float:
-        return float(self.p[self.index[s.routine], int(s.attending), self.index[a]])
 
 
 @dataclass
@@ -101,7 +92,6 @@ class PolicyConfig:
     epsilon: float = 0.125
     gamma: float = 0.9
     tol: float = 1e-6  # value-iteration residual to stop at
-    max_sweeps: int = 10_000
     random_policy: bool = False  # uniform-random baseline, for paired comparisons
 
 
@@ -157,10 +147,10 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     gamma, tol = cfg.gamma, cfg.tol
     cols = p.T.tolist()  # per action, its p in each state
     residuals = []
-    while len(residuals) < cfg.max_sweeps:
+    while len(residuals) < MAX_SWEEPS:
         v = q.max(axis=1).tolist()  # value of best action in each state
         flat = list(v)
-        size = min(VI_BATCH, cfg.max_sweeps - len(residuals))
+        size = min(VI_BATCH, MAX_SWEEPS - len(residuals))
         if size > 1:
             # the first sweep, one action column at a time
             v_not = v[0::2]
@@ -251,9 +241,8 @@ class Learner:
         (state, action), then refresh model and values."""
         if self.previous is None:
             return
-        s, a = self.previous
-        self.table.record(s, a, bool(attention.attending))
-        self.model.refresh_cell(self.table, s, a)
+        c = self.table.record(*self.previous, bool(attention.attending))
+        self.model.p[c] = estimate_transition(int(self.table.k[c]), int(self.table.m[c]))
         self.q = update_values(self.model, self.cfg, q0=self.q)
 
     def choose(self, s: StateId, rng: np.random.Generator) -> tuple[Routine, bool]:
@@ -267,22 +256,3 @@ class Learner:
 
     def commit(self, s: StateId, a: Routine) -> None:
         self.previous = (s, a)
-
-    def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["state_routine", "state_attending", "action", "k", "m", "p_hat", "q"])
-            for i, sr in enumerate(self.table.routines):
-                for j in (0, 1):
-                    for l, a in enumerate(self.table.routines):
-                        writer.writerow(
-                            [
-                                sr.value,
-                                j,
-                                a.value,
-                                int(self.table.k[i, j, l]),
-                                int(self.table.m[i, j, l]),
-                                f"{self.model.p[i, j, l]:.10g}",
-                                f"{self.q.q[i, j, l]:.10g}",
-                            ]
-                        )

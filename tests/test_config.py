@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import cli, config, harness
+from imime import cli, config, harness, learning
 from imime.behavior import Routine
 from imime.config import ConfigError, EpisodeConfig, load_config
 
@@ -134,10 +134,9 @@ OUT_OF_RANGE = [
     ("learning", "gamma", "1.0", "learning.gamma"),
     ("learning", "gamma", "-0.5", "learning.gamma"),
     ("learning", "gamma", "nan", "learning.gamma"),
-    ("learning", "gamma", "0.999", "learning.gamma"),  # cannot converge within the default tol and max_sweeps
+    ("learning", "gamma", "0.999", "learning.gamma"),  # cannot converge to the default tol within MAX_SWEEPS
     ("learning", "tol", "0", "learning.tol"),
     ("learning", "tol", "-1e-6", "learning.tol"),
-    ("learning", "max_sweeps", "0", "learning.max_sweeps"),
     ("learning", "epsilon", "2", "learning.epsilon"),
     ("learning", "epsilon", "-0.1", "learning.epsilon"),
     ("profile", "compliance", "2", "profile.compliance"),
@@ -264,6 +263,7 @@ def test_background_just_below_the_face_threshold_agrees_with_label_mode(tmp_pat
     "text, named",
     [
         ("[learning]\ngama = 1.0\n", "learning.gama"),
+        ("[learning]\nmax_sweeps = 10000\n", "learning.max_sweeps"),  # the budget is learning.MAX_SWEEPS
         ("[episode]\nasync_values = yes\n", "episode.async_values"),
         ("[fusion]\nt_recent = 0\n", "fusion.t_recent"),
         ("[behavior]\nselectable = Reward\n", "behavior.selectable"),
@@ -309,8 +309,8 @@ def test_behavior_and_fusion_boundaries_accepted(tmp_path):
 # (values in range, values out of range or malformed) per key; one key in
 # ten takes a bad value, and one file in three ends in an unknown key,
 # section, routine or attending part. `validate` rejects a gamma that value iteration
-# might not converge for within `max_sweeps`, so a NonConvergence (a
-# runtime error, exit 3) is not a possible outcome.
+# might not converge for within `learning.MAX_SWEEPS` sweeps, so a
+# NonConvergence (a runtime error, exit 3) is not a possible outcome.
 _SECONDS = (["0", "0.5", "2", "30"], ["-1", "nan", "inf", "1e308", "x", ""])
 _UNIT = (["0", "0.15", "0.9", "1"], ["-0.1", "1.5", "nan", "x"])
 _INI_VALUES = {
@@ -324,7 +324,6 @@ _INI_VALUES = {
         "epsilon": _UNIT,
         "gamma": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "x", "0.999"]),
         "tol": (["1e-6", "1e-3", "1e-12"], ["0", "-1", "nan"]),
-        "max_sweeps": (["10000"], ["0", "-1", "x"]),
         "random_policy": (["yes", "no"], ["2"]),
     },
     "behavior": {
@@ -401,7 +400,7 @@ def test_any_ini_file_runs_or_exits_2(text):
 def test_range_boundaries_accepted(tmp_path):
     path = write(
         tmp_path,
-        "[learning]\ngamma = 0\nepsilon = 1\nmax_sweeps = 2\n"
+        "[learning]\ngamma = 0\nepsilon = 1\n"
         "[profile]\ncompliance = 0\nerratic_rate = 1\n"
         "[p_star]\nattending.mimic = 1\nnotattending.beckon = 0\n",
     )
@@ -409,9 +408,19 @@ def test_range_boundaries_accepted(tmp_path):
     assert cli.main(["oracle", "--config", path]) == 0
 
 
-def test_huge_max_sweeps_accepted(tmp_path):
-    path = write(tmp_path, "[learning]\nmax_sweeps = 1" + "0" * 400 + "\n")
-    assert load_config(path).learning.max_sweeps == 10**400
+@pytest.mark.parametrize("gamma, accepted", [(0.997, True), (0.998, False)])
+def test_gamma_must_converge_within_max_sweeps(tmp_path, capsys, gamma, accepted):
+    # gamma**(MAX_SWEEPS - 1) * (1/(1 - gamma) + gamma * tol) < tol at the
+    # default tol bounds gamma just below 0.998
+    path = write(tmp_path, f"[learning]\ngamma = {gamma}\n")
+    if accepted:
+        assert load_config(path).learning.gamma == gamma
+        assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
+    else:
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.key == "learning.gamma"
+        assert f"within {learning.MAX_SWEEPS} sweeps" in str(exc.value)
 
 
 def test_overrides_win(tmp_path):
@@ -460,7 +469,7 @@ def test_loader_keys_are_those_example_ini_lists():
             listed.add(f"{section}.{entry.group(1)}")  # commented keys too
     loaded = {f"{section}.{key}" for section, keys in config.SECTIONS.items() for key in keys}
     assert loaded == listed
-    assert len(loaded) == 29
+    assert len(loaded) == 28  # learning.max_sweeps became learning.MAX_SWEEPS
 
 
 def test_defaults_without_file_are_the_dataclass_defaults():

@@ -171,6 +171,29 @@ def test_pixel_episode_files_unchanged(tmp_path, capsys, seed, erratic_rate, sce
     assert h.hexdigest() == digest
 
 
+# SHA-256 of the four CSVs of 300-frame label runs through `imime run`
+# (seed 3), recorded before the learner's table dump moved into the harness:
+# defaults, erratic bursts, a three-part [p_star] key that changes the
+# oracle's action in the first state, and the uniform-random baseline
+LABEL_EPISODE_DIGESTS = [
+    ("", "75b19f531bc14641d360b5cff2d1811c81815592a3a0fa4fafb2ff87fb300950"),
+    ("[profile]\nerratic_rate = 0.15\n", "b058c2dcfb26bc732fdfbc7ec3ab519e3e02362d649a3a04c2f78a6b8990c3b6"),
+    ("[p_star]\nbeckon.notattending.mimic = 0.95\n", "71a278606ce56c2588981cce38da4371c4de0ccb269bdd42134512d257dd62c8"),
+    ("[learning]\nrandom_policy = yes\n", "eaf399e92b1fdd7027f89b7dd3c65442ed093061f90271e8b51489b316d884dd"),
+]
+
+
+@pytest.mark.parametrize("ini, digest", LABEL_EPISODE_DIGESTS)
+def test_label_episode_files_unchanged(tmp_path, capsys, ini, digest):
+    path, out = tmp_path / "episode.ini", tmp_path / "run"
+    path.write_text(ini)
+    assert cli.main(["run", "--config", str(path), "--steps", "300", "--seed", "3", "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in ("episode.csv", "transitions.csv", "learning.csv", "metrics.csv"):
+        h.update((out / name).read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_pixel_episodes_back_to_back_match_fresh_runs(tmp_path, capsys):
     # the renderer keeps silhouette and ellipse masks across frames and
     # episodes; a scene of another size in between must change no byte of
@@ -469,7 +492,7 @@ def test_save_episode_writes_all_artifacts(tmp_path):
 
 
 def reference_write_log_csv(log, path):
-    """`harness.write_log_csv` through `csv.DictWriter`, one row at a time."""
+    """episode.csv through `csv.DictWriter`, one row at a time."""
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=harness.LOG_FIELDS)
         writer.writeheader()
@@ -478,14 +501,14 @@ def reference_write_log_csv(log, path):
 
 
 @pytest.mark.parametrize("mode, steps", [("labels", 300), ("pixels", 60), ("labels", 1)])
-def test_write_log_csv_equals_dict_writer(tmp_path, mode, steps):
+def test_episode_csv_equals_dict_writer(tmp_path, mode, steps):
     # erratic bursts put non-zero jerks and reflex causes in the rows
-    cfg = load_config(None, {"steps": steps, "mode": mode, "seed": 3})
+    cfg = load_config(None, {"steps": steps, "mode": mode, "seed": 3, "out_dir": str(tmp_path / "ep")})
     cfg.profile.erratic_rate = 0.15
-    log, _ = harness.run_episode(cfg)
-    harness.write_log_csv(log, tmp_path / "got.csv")
+    log, learner = harness.run_episode(cfg)
+    harness.save_episode(cfg, log, learner)
     reference_write_log_csv(log, tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert (tmp_path / "ep" / "episode.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["labels", "pixels"])
@@ -593,6 +616,26 @@ def test_cli_oracle(capsys):
     assert len(out.strip().splitlines()) == 9  # header + 8 states
 
 
+# SHA-256 of `imime oracle` stdout: defaults, two-part [p_star] keys (state
+# rows stay equal across routines) and a three-part key (one row split off)
+ORACLE_DIGESTS = [
+    ("", "939ce7c7e2b37c38fe614a76dad3f7bbd755882d8310dd6a623742aeba4cd98d"),
+    (
+        "[p_star]\nattending.mimic = 0.95\nnotattending.beckon = 0.85\n",
+        "9c2c4d5ca14c9845517f0f4038461043e9e2c645fb94f6151978eaffbf97f1e4",
+    ),
+    ("[p_star]\nponder.attending.mimic = 0.95\n", "284796d0f93ac5b8b3670ed151664ab6e37471bf17d5663bd1d5ea470a050545"),
+]
+
+
+@pytest.mark.parametrize("ini, digest", ORACLE_DIGESTS)
+def test_cli_oracle_output_unchanged(tmp_path, capsys, ini, digest):
+    path = tmp_path / "oracle.ini"
+    path.write_text(ini)
+    assert cli.main(["oracle", "--config", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_analyze_dumped_frames(tmp_path, capsys):
     out = str(tmp_path / "px")
     rc = cli.main(
@@ -654,10 +697,59 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["analyze", "--frames", "{frames}", "--out", "{a_dir}"], "--out"),  # was [Errno 21], exit 3
+        (["analyze", "--frames", "{missing}"], "--frames"),  # was [Errno 2]
+        (["analyze", "--frames", "{a_file}"], "--frames"),  # was [Errno 20]
+        (["analyze", "--frames", "{frames}", "--out", "{missing}/analysis.csv"], "--out"),
+        (["analyze", "--frames", "{frames}", "--out", "{a_file}/analysis.csv"], "--out"),
+        (["plot", "--log", "{missing}", "--out", "{tmp}/curve.csv"], "--log"),
+        (["plot", "--log", "{frames}", "--out", "{tmp}/curve.csv"], "--log"),
+        (["plot", "--log", "{log}", "--out", "{a_dir}"], "--out"),  # read the whole log, then exit 3
+        (["plot", "--log", "{log}", "--out", "{missing}/curve.csv"], "--out"),
+        (["plot", "--log", "{log}", "--out", ""], "--out"),
+    ],
+    ids=[
+        "analyze-out-dir",
+        "analyze-frames-missing",
+        "analyze-frames-file",
+        "analyze-out-missing-parent",
+        "analyze-out-under-file",
+        "plot-log-missing",
+        "plot-log-dir",
+        "plot-out-dir",
+        "plot-out-missing-parent",
+        "plot-out-empty",
+    ],
+)
+def test_cli_unusable_paths_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
+    out = tmp_path / "px"
+    assert cli.main(["run", "--steps", "2", "--mode", "pixels", "--dump-frames", "--out", str(out)]) == 0
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("kept\n")
+    paths = {"frames": out / "frames", "log": out / "episode.csv", "missing": tmp_path / "missing", "tmp": tmp_path}
+    paths.update(a_dir=tmp_path / "a_dir", a_file=tmp_path / "a_file")
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    monkeypatch.setattr(cli, "read_pgm", lambda path: pytest.fail("a frame was read"))
+    monkeypatch.setattr(cli.csv, "DictReader", lambda f: pytest.fail("the log was read"))
+    capsys.readouterr()
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {flag}:")
+    assert captured.out == ""
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 def test_cli_runtime_error_exit_3(tmp_path, capsys):
-    rc = cli.main(["plot", "--log", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x.csv")])
+    # a log without the decision column fails as it is read
+    log = tmp_path / "not_a_log.csv"
+    log.write_text("tick,reward\n0,1\n")
+    rc = cli.main(["plot", "--log", str(log), "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 VISION_REPORT = Path(__file__).resolve().parents[1] / "scripts" / "vision_accuracy_report.py"

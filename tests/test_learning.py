@@ -70,18 +70,21 @@ def test_estimate_converges_on_bernoulli_stream():
 def test_outcome_table_record_and_counts():
     t = OutcomeTable(R4)
     s = StateId(Routine.Mimic, True)
+    # [state routine, attending, action], routines in the table's order
+    assert t.cell(s, Routine.Beckon) == (1, 1, 0)
+    assert t.record(s, Routine.Beckon, True) == (1, 1, 0)
     t.record(s, Routine.Beckon, True)
-    t.record(s, Routine.Beckon, True)
-    t.record(s, Routine.Beckon, False)
-    assert t.counts(s, Routine.Beckon) == (2, 1)
-    assert t.counts(s, Routine.Mimic) == (0, 0)
-    assert t.counts(StateId(Routine.Mimic, False), Routine.Beckon) == (0, 0)
+    assert t.record(s, Routine.Beckon, False) == (1, 1, 0)
+    assert (t.k[1, 1, 0], t.m[1, 1, 0]) == (2, 1)
+    assert t.k.sum() == 2 and t.m.sum() == 1  # no other cell counted
 
 
 def test_outcome_table_unknown_routine():
     t = OutcomeTable(R4)
     with pytest.raises(UnknownStateOrAction):
         t.record(StateId(Routine.Scold, True), Routine.Beckon, True)
+    with pytest.raises(UnknownStateOrAction):
+        t.cell(StateId(Routine.Beckon, True), Routine.Scold)
 
 
 def test_outcome_table_empty_routines():
@@ -172,8 +175,10 @@ def test_value_iteration_bounds_and_contraction():
 
 def test_value_iteration_nonconvergence_raises():
     model = TransitionModel(R4, np.full((4, 2, 4), 0.9))
-    with pytest.raises(NonConvergence) as exc:
-        update_values(model, PolicyConfig(tol=1e-12, max_sweeps=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "MAX_SWEEPS", 3)
+        with pytest.raises(NonConvergence) as exc:
+            update_values(model, PolicyConfig(tol=1e-12))
     assert exc.value.residual > 1e-12
 
 
@@ -183,7 +188,7 @@ def _sweep_update_values(model, cfg, q0=None):
     p = model.p.reshape(2 * n, n)
     q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
     residuals = []
-    for _ in range(cfg.max_sweeps):
+    for _ in range(learning.MAX_SWEEPS):
         vmax = q.max(axis=1)
         v_att = vmax[1::2]
         v_not = vmax[0::2]
@@ -217,14 +222,15 @@ def _value_case(draw):
     # gamma 0 converges in two sweeps; 0.99 and 0.999 need more than VI_BATCH
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]))
     tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
-    # small budgets cut a predicted batch short, or end in NonConvergence
+    # small sweep budgets (learning.MAX_SWEEPS) cut a predicted batch short,
+    # or end in NonConvergence
     max_sweeps = draw(st.sampled_from([1, 2, 3, 300, 10_000]))
-    return TransitionModel(R4[:n], p), PolicyConfig(gamma=gamma, tol=tol, max_sweeps=max_sweeps), q0
+    return TransitionModel(R4[:n], p), PolicyConfig(gamma=gamma, tol=tol), q0, max_sweeps
 
 
 def _long_case(gamma, max_sweeps):
     p = np.random.default_rng(3).random((4, 2, 4))
-    return TransitionModel(R4, p), PolicyConfig(gamma=gamma, tol=1e-12, max_sweeps=max_sweeps), None
+    return TransitionModel(R4, p), PolicyConfig(gamma=gamma, tol=1e-12), None, max_sweeps
 
 
 def _argmax_change_case():
@@ -241,14 +247,15 @@ def _argmax_change_case():
         first = changed + cfg.gamma * (changed * (v[:, 1] - v[:, 0]) + v[:, 0])
         i, j, l = cell
         if first[i, j].argmax() == l != q0.q[i, j].argmax():
-            return TransitionModel(R4, changed), cfg, q0
+            return TransitionModel(R4, changed), cfg, q0, learning.MAX_SWEEPS
     raise AssertionError("no single cell changes its row's argmax")
 
 
 def test_long_cases_need_more_than_one_batch():
-    assert len(update_values(*_long_case(0.99, 10_000)).residuals) > VI_BATCH
+    assert learning.MAX_SWEEPS == 10_000
+    assert len(update_values(*_long_case(0.99, 10_000)[:3]).residuals) > VI_BATCH
     with pytest.raises(NonConvergence):
-        update_values(*_long_case(0.999, 10_000))
+        update_values(*_long_case(0.999, 10_000)[:3])
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,19 +265,21 @@ def test_long_cases_need_more_than_one_batch():
 @example(case=_long_case(0.9, 1))
 @example(case=_long_case(0.0, 10_000))
 @example(case=_argmax_change_case())
-@example(case=(TransitionModel(R4), PolicyConfig(), None))  # the all-0.5 cold start
+@example(case=(TransitionModel(R4), PolicyConfig(), None, learning.MAX_SWEEPS))  # the all-0.5 cold start
 @example(case=_long_case(0.9, 2))  # budgets that cut the carry
 @example(case=_long_case(0.9, 3))
 def test_update_values_bit_identical_to_whole_table_sweeps(case):
-    model, cfg, q0 = case
-    try:
-        expected, residuals = _sweep_update_values(model, cfg, q0)
-    except NonConvergence as want:
-        with pytest.raises(NonConvergence) as got:
-            update_values(model, cfg, q0)
-        assert got.value.residual == want.residual
-        return
-    q = update_values(model, cfg, q0)
+    model, cfg, q0, max_sweeps = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "MAX_SWEEPS", max_sweeps)
+        try:
+            expected, residuals = _sweep_update_values(model, cfg, q0)
+        except NonConvergence as want:
+            with pytest.raises(NonConvergence) as got:
+                update_values(model, cfg, q0)
+            assert got.value.residual == want.residual
+            return
+        q = update_values(model, cfg, q0)
     assert q.q.tobytes() == expected.tobytes()
     assert q.residuals == residuals
 
@@ -313,11 +322,13 @@ def test_update_values_bit_identical_at_session_cadence(monkeypatch, seed):
 
 def test_update_values_nonconvergence_matches_whole_table_sweeps():
     model = TransitionModel(R4, np.full((4, 2, 4), 0.9))
-    cfg = PolicyConfig(tol=1e-12, max_sweeps=100)
-    with pytest.raises(NonConvergence) as got:
-        update_values(model, cfg)
-    with pytest.raises(NonConvergence) as want:
-        _sweep_update_values(model, cfg)
+    cfg = PolicyConfig(tol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "MAX_SWEEPS", 100)
+        with pytest.raises(NonConvergence) as got:
+            update_values(model, cfg)
+        with pytest.raises(NonConvergence) as want:
+            _sweep_update_values(model, cfg)
     assert got.value.residual == want.value.residual
 
 
@@ -394,11 +405,12 @@ def test_learner_attributes_outcome_to_previous_decision():
     s = StateId(Routine.Beckon, False)
     lr.commit(s, Routine.Mimic)
     lr.observe(att_state(True))
-    assert lr.table.counts(s, Routine.Mimic) == (1, 0)
-    assert lr.model.prob(s, Routine.Mimic) == 1.0
+    c = lr.table.cell(s, Routine.Mimic)
+    assert (lr.table.k[c], lr.table.m[c], lr.model.p[c]) == (1, 0, 1.0)
     lr.commit(StateId(Routine.Mimic, True), Routine.Mimic)
     lr.observe(att_state(False))
-    assert lr.table.counts(StateId(Routine.Mimic, True), Routine.Mimic) == (0, 1)
+    c = lr.table.cell(StateId(Routine.Mimic, True), Routine.Mimic)
+    assert (lr.table.k[c], lr.table.m[c], lr.model.p[c]) == (0, 1, 0.0)
     assert lr.table.k.sum() + lr.table.m.sum() == 2
 
 
