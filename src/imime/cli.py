@@ -46,12 +46,11 @@ def _cmd_oracle(args) -> int:
 def _cmd_analyze(args) -> int:
     if not os.path.isdir(args.frames):
         raise ConfigError("--frames", f"{args.frames} is not a directory")
-    out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
-    check_output_path("--out", out_path, file=True)
     names = sorted(f for f in os.listdir(args.frames) if f.endswith(".pgm") and f.startswith("face_"))
     if not names:
-        print(f"no face_*.pgm frames in {args.frames}", file=sys.stderr)
-        return 3
+        raise ConfigError("--frames", f"no face_*.pgm frames in {args.frames}")
+    out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
+    check_output_path("--out", out_path, file=True)
     faces = face.FaceTracker()
     prev_frame = None
     with open(out_path, "w", newline="") as f:
@@ -79,6 +78,17 @@ def _cmd_analyze(args) -> int:
 def _cmd_plot(args) -> int:
     if not os.path.isfile(args.log):
         raise ConfigError("--log", f"{args.log} is not a file")
+    plt = None
+    if args.out.lower().endswith(".png"):
+        try:
+            import matplotlib
+
+            matplotlib.use("Agg")
+            import matplotlib.pyplot as plt
+        except ImportError:
+            # a .png curve falls back to the CSV of the same name, checked as --out
+            args.out = args.out[:-4] + ".csv"
+            print("matplotlib unavailable, degrading to CSV", file=sys.stderr)
     check_output_path("--out", args.out, file=True)
     rewards = []
     with open(args.log, newline="") as f:
@@ -87,26 +97,16 @@ def _cmd_plot(args) -> int:
                 rewards.append(int(row["reward"]))
     window = harness.CURVE_WINDOW
     points = list(zip(range(0, len(rewards), window), harness.attention_windows(rewards)))
-    if args.out.lower().endswith(".png"):
-        try:
-            import matplotlib
-
-            matplotlib.use("Agg")
-            import matplotlib.pyplot as plt
-
-            xs, ys = zip(*points)
-            plt.figure(figsize=(6, 4))
-            plt.plot(xs, ys, marker="o")
-            plt.xlabel("decision tick")
-            plt.ylabel(f"attention fraction ({window}-decision window)")
-            plt.title("learning curve")
-            plt.savefig(args.out, dpi=120)
-            print(f"wrote {args.out}")
-            return 0
-        except ImportError:
-            args.out = args.out[:-4] + ".csv"
-            print("matplotlib unavailable, degrading to CSV", file=sys.stderr)
-    harness.write_csv(args.out, ["decision", "attention_fraction"], points)
+    if plt is not None:
+        xs, ys = zip(*points)
+        plt.figure(figsize=(6, 4))
+        plt.plot(xs, ys, marker="o")
+        plt.xlabel("decision tick")
+        plt.ylabel(f"attention fraction ({window}-decision window)")
+        plt.title("learning curve")
+        plt.savefig(args.out, dpi=120)
+    else:
+        harness.write_csv(args.out, ["decision", "attention_fraction"], points)
     print(f"wrote {args.out}")
     return 0
 

@@ -297,10 +297,7 @@ def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.ra
 
 
 def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReference]:
-    """Drape profiles of the canonical noiseless silhouettes."""
+    """Drape profiles of the canonical noiseless silhouettes, draped in one call."""
     scene = scene or SceneConfig()
-    refs = []
-    for label in POSE_LABELS:
-        profile = drape(silhouette_mask(label, scene))
-        refs.append(PoseReference(label, profile))
-    return refs
+    profiles = drape(np.stack([silhouette_mask(label, scene) for label in POSE_LABELS]))
+    return [PoseReference(label, profile) for label, profile in zip(POSE_LABELS, profiles)]

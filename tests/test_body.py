@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from imime import body, viewer
-from imime.frames import DimensionMismatch, Frame
+from imime.frames import MIN_SIDE, DimensionMismatch, Frame
 
 
 def frame_const(value, shape=(32, 32)):
@@ -223,12 +223,19 @@ def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
 
 
 def reference_segment_foreground(model, frame, tau_mahal=body.TAU_MAHAL):
-    """`body.segment_foreground` with sigma taken per frame and the majority
-    vote as a 3x3 float mean over a zero border, thresholded at 0.5."""
+    """`body.segment_foreground` with the float Mahalanobis test, sigma taken
+    per frame, in place of the model's integer bounds, and the majority vote
+    as a 3x3 float mean over a zero border, thresholded at 0.5."""
     dist = np.abs(frame.pixels.astype(float) - model.mean) / np.sqrt(model.var)
     raw = dist > tau_mahal
     votes = ndimage.uniform_filter(raw.astype(float), size=3, mode="constant")
     return votes > 0.5
+
+
+def reference_train_background(frames):
+    """`body.train_background` over a float stack of the frames: (mean, var)."""
+    stack = np.stack([f.pixels.astype(float) for f in frames])
+    return stack.mean(axis=0), np.maximum(stack.var(axis=0), body.VAR_FLOOR)
 
 
 def reference_pearson(a, b):
@@ -310,6 +317,110 @@ def test_drape_reads_the_mask_only_through_its_supports(mask):
     assert body.drape(solid).tobytes() == body.drape(mask).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    h=st.integers(1, 24),
+    w=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "exact"]),
+    tau=st.one_of(
+        st.sampled_from([3.0, float(np.nextafter(3.0, 0.0)), float(np.nextafter(3.0, 4.0)), 0.0, 0.25, 1.0]),
+        st.floats(0.0, 10.0),
+    ),
+)
+def test_background_bounds_equal_the_float_test(h, w, seed, kind, tau):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        # sigma from a hundredth of a grey level (nothing past the mean's
+        # nearest integers kept) to far wider than the grey scale
+        mean = rng.choice([rng.uniform(0.0, 255.0, (h, w)), rng.integers(0, 256, (h, w)).astype(float)])
+        var = np.exp(rng.uniform(np.log(1e-4), np.log(1e5), (h, w)))
+    else:
+        # mean ± tau * sigma lands on integers, every value exact: sigma a
+        # whole or half grey level, the mean's fraction that of tau * sigma
+        tau = float(rng.choice([3.0, 2.0, 0.5]))
+        sigma = rng.integers(1, 80, (h, w)) / 2.0
+        mean = np.minimum(rng.integers(0, 256, (h, w)) + tau * sigma % 1, 255.0)
+        var = sigma**2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(body, "TAU_MAHAL", tau)
+        model = body.BackgroundModel(mean=mean, var=var)
+    assert model.lo.dtype == model.hi.dtype == np.uint8
+    values = np.arange(256.0)[:, None, None]
+    flagged = np.abs(values - mean) / np.sqrt(var) > tau
+    assert np.array_equal((values < model.lo) | (values > model.hi), flagged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    h=st.integers(MIN_SIDE, 40),
+    w=st.integers(MIN_SIDE, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.integers(0, 255),
+)
+def test_train_background_equals_the_stacked_float_form(n, h, w, seed, spread):
+    rng = np.random.default_rng(seed)
+    centre = rng.integers(0, 256, (h, w))
+    frames = []
+    for _ in range(n):
+        pixels = np.clip(centre + rng.integers(-spread, spread + 1, (h, w)), 0, 255)
+        # saturated pixels: the extremes of the grey scale
+        pixels[rng.random((h, w)) < 0.1] = 0
+        pixels[rng.random((h, w)) < 0.1] = 255
+        frames.append(Frame(pixels.astype(np.uint8)))
+    model = body.train_background(frames)
+    mean, var = reference_train_background(frames)
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.var.tobytes() == var.tobytes()
+    assert model.sigma.tobytes() == np.sqrt(var).tobytes()
+
+
+@st.composite
+def drape_stacks(draw):
+    """1 to 6 masks of one size, each a silhouette, a floor, random, empty or full."""
+    h, w, k = draw(st.integers(1, 40)), draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.zeros((k, h, w), dtype=bool)
+    for mask in stack:
+        kind = draw(st.sampled_from(["columns", "level", "random", "empty", "full"]))
+        if kind == "columns":  # a silhouette: each column solid below its top row
+            for c, top in enumerate(rng.integers(0, h + 1, size=w)):
+                mask[top:, c] = True
+        elif kind == "level":  # a floor at any height: its own free fall
+            mask[rng.integers(0, h) :] = True
+        elif kind == "random":
+            mask[:] = rng.random((h, w)) < draw(st.floats(0.0, 1.0))
+        elif kind == "full":
+            mask[:] = True
+    return stack
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=drape_stacks(), max_iters=st.sampled_from([None, 0, 1, 17]))
+def test_stacked_drape_rows_equal_lone_reference_drapes(stack, max_iters):
+    with pytest.MonkeyPatch.context() as mp:
+        if max_iters is not None:
+            mp.setattr(body, "DRAPE_MAX_ITERS", max_iters)
+        profiles = body.drape(stack)
+        limits = body.supports(stack)
+        lone = [body.drape(mask) for mask in stack]
+    assert profiles.shape == (len(stack), stack.shape[2]) and limits.shape == profiles.shape
+    cap = {} if max_iters is None else {"max_iters": max_iters}
+    for mask, row, own, lim in zip(stack, profiles, lone, limits):
+        assert lim.tobytes() == reference_supports(mask).tobytes()
+        assert row.tobytes() == reference_drape(mask, **cap).tobytes()
+        assert own.tobytes() == row.tobytes()
+
+
+def test_pose_references_equal_lone_reference_drapes():
+    scene = viewer.SceneConfig()
+    refs = viewer.build_pose_references(scene)
+    assert [r.label for r in refs] == list(viewer.POSE_LABELS)
+    for ref in refs:
+        assert ref.profile.tobytes() == reference_drape(viewer.silhouette_mask(ref.label, scene)).tobytes()
+
+
 def _slow_drape_mask(kind):
     """A 120x64 silhouette whose cloth needs 85 ("post": a floor and one
     post) or 90 ("posts": a thin floor and a post at either side)
@@ -347,14 +458,17 @@ def test_drape_stops_free_fall_at_max_iters(max_iters, monkeypatch):
 
 
 def test_segment_foreground_threshold_is_strict(monkeypatch):
-    # every pixel 6 grey levels from a mean of sigma 2: distance exactly 3.0
-    model = body.BackgroundModel(mean=np.full((8, 9), 100.0), var=np.full((8, 9), 4.0))
+    # every pixel 6 grey levels from a mean of sigma 2: distance exactly 3.0;
+    # a model takes its bounds from TAU_MAHAL when it is built
+    mean, var = np.full((8, 9), 100.0), np.full((8, 9), 4.0)
     frame = Pixels(np.full((8, 9), 106, dtype=np.uint8))
     monkeypatch.setattr(body, "TAU_MAHAL", 3.0)
+    model = body.BackgroundModel(mean=mean, var=var)
     assert not body.segment_foreground(model, frame).any()
     assert body.segment_foreground(model, frame).tobytes() == reference_segment_foreground(model, frame, 3.0).tobytes()
     below = float(np.nextafter(3.0, 0.0))
     monkeypatch.setattr(body, "TAU_MAHAL", below)
+    model = body.BackgroundModel(mean=mean, var=var)
     # all foreground but the corners, which see 4 of 9 votes past the frame edge
     got = body.segment_foreground(model, frame)
     assert got.sum() == got.size - 4

@@ -582,6 +582,20 @@ def test_cli_plot_png_without_matplotlib_writes_the_csv(tmp_path, capsys, monkey
     assert not (tmp_path / "curve.png").exists()
 
 
+def test_cli_plot_png_fallback_that_is_a_directory_exits_2(tmp_path, capsys, monkeypatch, episode_log):
+    # without matplotlib the curve goes to curve.csv, which is checked before the log is read
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    (tmp_path / "curve.csv").mkdir()
+    monkeypatch.setattr(cli.csv, "DictReader", lambda f: pytest.fail("the log was read"))
+    capsys.readouterr()
+    assert cli.main(["plot", "--log", str(episode_log), "--out", str(tmp_path / "curve.png")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith("config error: --out:")
+    assert captured.out == ""
+    assert not (tmp_path / "curve.png").exists()
+    assert list((tmp_path / "curve.csv").iterdir()) == []
+
+
 def test_cli_plot_png_draws_the_attention_windows(tmp_path, capsys, monkeypatch, episode_log):
     drawn = {}
     pyplot = types.ModuleType("matplotlib.pyplot")
@@ -703,6 +717,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         (["analyze", "--frames", "{frames}", "--out", "{a_dir}"], "--out"),  # was [Errno 21], exit 3
         (["analyze", "--frames", "{missing}"], "--frames"),  # was [Errno 2]
         (["analyze", "--frames", "{a_file}"], "--frames"),  # was [Errno 20]
+        (["analyze", "--frames", "{a_dir}"], "--frames"),  # no face_*.pgm frames: was exit 3
+        (["analyze", "--frames", "{a_dir}", "--out", "{a_file}/analysis.csv"], "--frames"),
         (["analyze", "--frames", "{frames}", "--out", "{missing}/analysis.csv"], "--out"),
         (["analyze", "--frames", "{frames}", "--out", "{a_file}/analysis.csv"], "--out"),
         (["plot", "--log", "{missing}", "--out", "{tmp}/curve.csv"], "--log"),
@@ -715,6 +731,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "analyze-out-dir",
         "analyze-frames-missing",
         "analyze-frames-file",
+        "analyze-frames-empty",
+        "analyze-frames-empty-before-out",
         "analyze-out-missing-parent",
         "analyze-out-under-file",
         "plot-log-missing",
