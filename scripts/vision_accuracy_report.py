@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from imime import body, face, viewer
+from imime import body, face, harness, viewer
 
 
 def main(argv=None):
@@ -42,13 +42,14 @@ def main(argv=None):
         mark = "" if t == p else "  <-- miss"
         print(f"  truth {t:8s} -> {p:8s}: {v}{mark}")
 
-    bg = body.train_background([viewer.synthesize_body_frame(None, scene, rng) for _ in range(10)])
+    frames = [viewer.synthesize_body_frame(None, scene, rng) for _ in range(harness.BACKGROUND_TRAINING_FRAMES)]
+    bg = body.train_background(frames)
     refs = viewer.build_pose_references(scene)
     print("\npose classification (noisy silhouettes):")
     for label in viewer.POSE_LABELS:
         frame = viewer.synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
-        got = body.classify_pose(body.drape(mask), refs)
+        got = body.classify_pose(body.drape(body.supports(mask), scene.height), refs)
         print(f"  {label:15s} -> {got:15s} {'ok' if got == label else 'MISS'}")
     return 0
 

@@ -34,21 +34,18 @@ class LengthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Per-pixel Gaussian. `sigma` is sqrt(var); `lo` and `hi` are the uint8
-    bounds of each pixel's background values, so that |p - mean| / sigma >
-    TAU_MAHAL exactly when p < lo or p > hi. All three are taken once here,
-    with TAU_MAHAL as it is when the model is built, rather than on every
-    segmented frame."""
+    """Per-pixel Gaussian. `lo` and `hi` are the uint8 bounds of each
+    pixel's background values, so that |p - mean| / sqrt(var) > TAU_MAHAL
+    exactly when p < lo or p > hi. Both are taken once here, with TAU_MAHAL
+    as it is when the model is built, rather than on every segmented frame."""
 
     mean: np.ndarray  # (h, w) float
     var: np.ndarray  # (h, w) float, >= VAR_FLOOR
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
     lo: np.ndarray = field(init=False, repr=False, compare=False)
     hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sigma = np.sqrt(self.var)
-        object.__setattr__(self, "sigma", sigma)
         reach = TAU_MAHAL * sigma
         # On each side of the mean the test's distance only grows, so the
         # test keeps the values up to one integer and flags the rest. That
@@ -135,8 +132,8 @@ def segment_foreground(model: BackgroundModel, frame: Frame) -> np.ndarray:
 def supports(mask: np.ndarray) -> np.ndarray:
     """Settle limit of each column, as floats: the row of its topmost
     foreground pixel, or the frame height when the column is empty. A stack
-    of masks (..., h, w) gives a stack of limits (..., w). `drape` reads the
-    mask through these alone."""
+    of masks (..., h, w) gives a stack of limits (..., w), the input of
+    `drape`."""
     top = mask.argmax(axis=-2)
     limits = top.astype(float)
     # argmax gives row 0 for an empty column too; the first row tells them apart
@@ -153,28 +150,28 @@ def _free_fall(lowest: float) -> tuple[float, int]:
     return fall, start
 
 
-def drape(mask: np.ndarray) -> np.ndarray:
-    """Drop a 1-node-per-column cloth onto the mask and return the settled
-    profile, normalized to [0, 1] (constant profiles normalize to all zeros).
-    A stack of masks (k, h, w) gives a stack of profiles (k, w), each the one
-    its mask alone gives.
+def drape(limits: np.ndarray, height: int) -> np.ndarray:
+    """Drop a 1-node-per-column cloth onto the column settle limits of a
+    mask `height` rows tall (see `supports`) and return the settled profile,
+    normalized to [0, 1] (constant profiles normalize to all zeros). A stack
+    of limits (k, w) gives a stack of profiles (k, w), each the one its
+    limits alone give.
 
-    Each iteration every node falls by DRAPE_GRAVITY until blocked by the
-    topmost foreground pixel in its column, then relaxes toward its
-    neighbors' average with weight DRAPE_COUPLING, never penetrating the
-    support. The run stops at the first iteration that moves no node by
-    DRAPE_TOL or more, or after DRAPE_MAX_ITERS. Iterations write their
-    profiles into the rows of a history buffer, and that test is made once
-    per DRAPE_BATCH of them.
+    Each iteration every node falls by DRAPE_GRAVITY until blocked by its
+    column's limit, then relaxes toward its neighbors' average with weight
+    DRAPE_COUPLING, never penetrating the limit. The run stops at the first
+    iteration that moves no node by DRAPE_TOL or more, or after
+    DRAPE_MAX_ITERS. Iterations write their profiles into the rows of a
+    history buffer, and that test is made once per DRAPE_BATCH of them.
     """
-    h, w = mask.shape[-2:]
-    limits = supports(mask).reshape(-1, w)
-    k = len(limits)
+    w = limits.shape[-1]
+    cloth_limits = limits.reshape(-1, w)
+    k = len(cloth_limits)
     # Free fall: while the level cloth stays above every support, each
     # iteration adds exactly DRAPE_GRAVITY to every node (the neighbor term
     # is 0.0), so those iterations run on one float per cloth, summed as the
     # loop sums.
-    falls, starts = zip(*map(_free_fall, limits.min(axis=1).tolist()))
+    falls, starts = zip(*map(_free_fall, cloth_limits.min(axis=1).tolist()))
     budgets = [DRAPE_MAX_ITERS - start for start in starts]  # iterations left to each cloth
     # The cloths lie end to end in one buffer, each between two end cells
     # that repeat its end nodes, so each step is one call over all of them.
@@ -185,7 +182,7 @@ def drape(mask: np.ndarray) -> np.ndarray:
     cloths[0] = np.array(falls)[:, None]
     settled = cloths[0].copy()
     cell_limits = np.zeros((k, w + 2))  # the limits, and 0.0 at the end cells
-    cell_limits[:, 1:-1] = limits
+    cell_limits[:, 1:-1] = cloth_limits
     cell_limits = cell_limits.reshape(-1)
     fallen, step = np.zeros((2, k * (w + 2)))
     left, right, sums = fallen[:-2], fallen[2:], step[1:-1]
@@ -221,12 +218,12 @@ def drape(mask: np.ndarray) -> np.ndarray:
         if not moving:
             break
         history[0] = history[n]
-    heights = h - settled  # measure up from the frame bottom
+    heights = height - settled  # measure up from the frame bottom
     low = heights.min(axis=1, keepdims=True)
     span = heights.max(axis=1, keepdims=True) - low
     profiles = np.zeros((k, w))
     np.divide(heights - low, span, out=profiles, where=span != 0)
-    return profiles.reshape(mask.shape[:-2] + (w,))
+    return profiles.reshape(limits.shape)
 
 
 def classify_pose(profile: np.ndarray, refs: list[PoseReference]) -> str:

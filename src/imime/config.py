@@ -31,6 +31,8 @@ def check_output_path(key: str, path: str, file: bool = False) -> None:
     Outputs are written after the work, so callers check them before it."""
     if not path:
         raise ConfigError(key, f"must name an output {'file' if file else 'directory'}")
+    if "\0" in path:
+        raise ConfigError(key, f"{path!r} contains a NUL byte")
     if file and os.path.isdir(path):
         raise ConfigError(key, f"{path} is a directory")
     head = parent = os.path.dirname(path) if file else path
@@ -40,6 +42,11 @@ def check_output_path(key: str, path: str, file: bool = False) -> None:
         raise ConfigError(key, f"{head} exists and is not a directory")
     if file and head != parent:
         raise ConfigError(key, f"directory {parent} does not exist")
+    # the names still to be made, each within the limit of the file system they go on
+    name_max = os.pathconf(head or ".", "PC_NAME_MAX")
+    for name in path[len(head) :].split(os.sep):
+        if len(os.fsencode(name)) > name_max:
+            raise ConfigError(key, f"name {name[:16]}... is longer than {name_max} bytes")
 
 
 @dataclass

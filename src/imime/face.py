@@ -25,7 +25,6 @@ REGIONS = (
     ("RightCheek", 0.55, 0.90, 0.50, 0.70),
     ("Mouth", 0.30, 0.70, 0.70, 0.90),
 )
-REGION_LABELS = tuple(label for label, *_ in REGIONS)
 
 # facial-region geometry thresholds and block-matching geometry
 TAU_SYM = 0.06
@@ -65,17 +64,11 @@ class FaceRect:
     def center(self) -> tuple[float, float]:
         return (self.x + (self.w - 1) / 2.0, self.y + (self.h - 1) / 2.0)
 
-    def validate(self, frame: Frame) -> None:
-        if self.w < MIN_FACE_SIDE or self.h < MIN_FACE_SIDE:
-            raise RectTooSmall(f"face rect {self.w}x{self.h} below {MIN_FACE_SIDE}px minimum")
-        if self.x < 0 or self.y < 0 or self.x + self.w > frame.width or self.y + self.h > frame.height:
-            raise ValueError("face rect outside frame")
-
 
 def partition_regions(rect: FaceRect) -> list[tuple]:
     """Split a face rect into the seven canonical pixel regions.
 
-    Returns (x, y, w, h) tuples in REGION_LABELS order, half-open pixel
+    Returns (x, y, w, h) tuples in REGIONS order, half-open pixel
     intervals rounded from the fractions in REGIONS.
     """
     if rect.w < MIN_FACE_SIDE or rect.h < MIN_FACE_SIDE:
@@ -178,7 +171,7 @@ def block_flow(prev: Frame, cur: Frame, region: tuple) -> FlowField:
 
 
 def characteristic_flow(fields: list[FlowField]) -> np.ndarray:
-    """Concatenate mean (dx, dy) per region into a 14-vector (REGION_LABELS order)."""
+    """Concatenate mean (dx, dy) per region into a 14-vector (REGIONS order)."""
     if len(fields) != 7:
         raise ValueError(f"expected 7 region flow fields, got {len(fields)}")
     parts = []
@@ -234,14 +227,14 @@ def classify_motion(field: FlowField, region_means: np.ndarray) -> str:
     return "NonRigid"
 
 
-def symmetry_score(frame: Frame, rect: FaceRect) -> float:
-    """Mean mirrored pixel distance in [0, 1] after a 3x3 median filter.
+def symmetry_score(face: np.ndarray) -> float:
+    """Mean mirrored pixel distance in [0, 1] of a face crop (2-D uint8)
+    after a 3x3 median filter.
 
     Column j and its mirror w-1-j differ by the same amounts, so the exact
     integer sum is twice that of the left half against the mirrored right
     half (a middle column differs from itself by 0)."""
-    rect.validate(frame)
-    med = _median3x3(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w])
+    med = _median3x3(face)
     half = med.shape[1] // 2
     diff = np.subtract(med[:, :half], med[:, ::-1][:, :half], dtype=np.int16)
     return 2 * int(np.abs(diff).sum()) / med.size / 255.0
@@ -279,17 +272,17 @@ def _median3(a, b, c):
     return np.maximum(np.minimum(a, b), np.minimum(np.maximum(a, b), c))
 
 
-def edge_cog_offset(frame: Frame, rect: FaceRect) -> float:
-    """Horizontal offset in [-1, 1] of the centroid of significant edges.
+def edge_cog_offset(face: np.ndarray) -> float:
+    """Horizontal offset in [-1, 1] of the centroid of significant edges in
+    a face crop (2-D uint8).
 
-    Positive means edge mass right of the rect centerline. Gradient is a
+    Positive means edge mass right of the crop's centerline. Gradient is a
     3x3 Sobel with edges reflected, normalized to intensity units per pixel
     step: magnitude hypot(gx / 4, gy / 4) for the integer Sobel sums gx, gy,
     which are exact in int16 (at most 4 * 255 in size). A pixel is
     significant when that magnitude is at least THETA_EDGE.
     """
-    rect.validate(frame)
-    p = _pad_edge(frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w], np.int16)
+    p = _pad_edge(face, np.int16)
     dx = p[:, 2:] - p[:, :-2]  # central differences along rows, smoothed down columns
     dy = p[2:] - p[:-2]
     gx = dx[:-2] + 2 * dx[1:-1] + dx[2:]
@@ -306,7 +299,7 @@ def edge_cog_offset(frame: Frame, rect: FaceRect) -> float:
     weights = mag[sig]  # row-major order, as the full magnitude image would list them
     xs = np.nonzero(near)[1][sig].astype(float)
     cog = float((xs * weights).sum() / weights.sum())
-    half = (rect.w - 1) / 2.0
+    half = (face.shape[1] - 1) / 2
     return min(max((cog - half) / half, -1.0), 1.0)
 
 
@@ -351,21 +344,13 @@ class BrightnessBlobDetector:
         if blob is not None:
             bx0, bx1, by0, by1 = blob
             x0, x1, y0, y1 = x0 + bx0, x0 + bx1, y0 + by0, y0 + by1
-        # pad out to the minimum rect size, staying inside the frame
-        while x1 - x0 < MIN_FACE_SIDE:
-            if x0 > 0:
-                x0 -= 1
-            elif x1 < frame.width:
-                x1 += 1
-            else:
-                return None
-        while y1 - y0 < MIN_FACE_SIDE:
-            if y0 > 0:
-                y0 -= 1
-            elif y1 < frame.height:
-                y1 += 1
-            else:
-                return None
+        # pad out to the minimum rect size: lower x0 (y0) as far as 0 allows,
+        # then raise x1 (y1); a Frame's sides are at least MIN_SIDE = 16 >
+        # MIN_FACE_SIDE, so the rect stays inside the frame
+        x0 = min(x0, max(0, x1 - MIN_FACE_SIDE))
+        x1 = max(x1, x0 + MIN_FACE_SIDE)
+        y0 = min(y0, max(0, y1 - MIN_FACE_SIDE))
+        y1 = max(y1, y0 + MIN_FACE_SIDE)
         return FaceRect(x0, y0, x1 - x0, y1 - y0)
 
 
@@ -387,8 +372,9 @@ class FaceTracker:
         rect = self.detector.detect(frame)
         if rect is None:
             return None
-        s = symmetry_score(frame, rect)
-        e = edge_cog_offset(frame, rect)
+        crop = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
+        s = symmetry_score(crop)
+        e = edge_cog_offset(crop)
         self.label = fuse_orientation(s, e, self.label)
         self.centers.append(rect.center)
         return rect, s, e, self.label, estimate_jerk(self.centers)

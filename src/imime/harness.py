@@ -45,12 +45,9 @@ class EpisodeLog:
 class PixelPipeline:
     """Full vision stack over synthesized frames.
 
-    `drape` reads a mask only through its column supports, the mask shape
-    and the pose references are fixed per pipeline, and `classify_pose`
-    reads only the profile and the references, so equal supports give equal
-    gestures. `gestures` maps `body.supports(mask).tobytes()` to the label
-    that mask was classified as; it holds at most GESTURE_MEMO_SIZE entries
-    and drops the oldest one when full.
+    `gestures` maps the bytes of a body mask's column supports to the
+    gesture they were classified as; it holds at most GESTURE_MEMO_SIZE
+    entries and drops the oldest one when full.
     """
 
     def __init__(self, cfg: EpisodeConfig, noise_rng: np.random.Generator):
@@ -76,10 +73,11 @@ class PixelPipeline:
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
         if np.count_nonzero(mask) / mask.size >= 0.01:
-            key = body.supports(mask).tobytes()
+            limits = body.supports(mask)
+            key = limits.tobytes()
             gesture = self.gestures.get(key)
             if gesture is None:
-                gesture = body.classify_pose(body.drape(mask), self.pose_refs)
+                gesture = body.classify_pose(body.drape(limits, mask.shape[0]), self.pose_refs)
                 if len(self.gestures) == GESTURE_MEMO_SIZE:
                     del self.gestures[next(iter(self.gestures))]
                 self.gestures[key] = gesture

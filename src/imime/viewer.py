@@ -10,11 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .behavior import Routine
-from .body import PoseReference, drape
+from .behavior import GESTURES, Routine
+from .body import PoseReference, drape, supports
 from .frames import MIN_SIDE, Frame
 
-POSE_LABELS = ("ArmsDown", "LeftArmRaised", "RightArmRaised", "BothArmsRaised", "Wave")
+POSE_LABELS = ("ArmsDown", *GESTURES)
 
 FRONTAL_YAW = 15.0  # degrees; |yaw| below this means attending
 BURST_LENGTH = 8  # frames of injected high-jerk motion
@@ -273,14 +273,10 @@ def silhouette_top_contour(label: str, w: int, h: int) -> np.ndarray:
     return top
 
 
-def silhouette_mask(label: str, scene: SceneConfig) -> np.ndarray:
-    """Read-only mask of the canonical silhouette in a frame of the scene's
-    size; rendering and the pose references share one copy per size."""
-    return _silhouette(label, scene.width, scene.height)
-
-
 @lru_cache(maxsize=4 * len(POSE_LABELS))
-def _silhouette(label: str, width: int, height: int) -> np.ndarray:
+def silhouette_mask(label: str, width: int, height: int) -> np.ndarray:
+    """Read-only mask of the canonical silhouette in a width x height frame;
+    rendering and the pose references share one copy per size."""
     mask = np.arange(height)[:, None] >= silhouette_top_contour(label, width, height)[None, :]
     mask.flags.writeable = False
     return mask
@@ -292,12 +288,13 @@ def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.ra
     pixels = _to_pixels(_noisy_background(scene, rng))
     if state_pose is not None:
         # BODY_INTENSITY lies in [0, 255], so painting after the clip gives the same bytes
-        np.copyto(pixels, np.uint8(BODY_INTENSITY), where=silhouette_mask(state_pose, scene))
+        np.copyto(pixels, np.uint8(BODY_INTENSITY), where=silhouette_mask(state_pose, scene.width, scene.height))
     return Frame(pixels)
 
 
 def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReference]:
     """Drape profiles of the canonical noiseless silhouettes, draped in one call."""
     scene = scene or SceneConfig()
-    profiles = drape(np.stack([silhouette_mask(label, scene) for label in POSE_LABELS]))
+    masks = np.stack([silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS])
+    profiles = drape(supports(masks), scene.height)
     return [PoseReference(label, profile) for label, profile in zip(POSE_LABELS, profiles)]

@@ -80,21 +80,26 @@ def test_segment_dimension_mismatch():
 # --- drape -------------------------------------------------------------------------
 
 
+def drape_of(mask):
+    """The drape profile(s) of a mask or a stack of masks."""
+    return body.drape(body.supports(mask), mask.shape[-2])
+
+
 def test_drape_flat_support_all_zeros():
     mask = np.zeros((40, 30), dtype=bool)
     mask[25:, :] = True
-    assert np.array_equal(body.drape(mask), np.zeros(30))
+    assert np.array_equal(drape_of(mask), np.zeros(30))
 
 
 def test_drape_empty_mask_all_zeros():
-    assert np.array_equal(body.drape(np.zeros((40, 30), dtype=bool)), np.zeros(30))
+    assert np.array_equal(drape_of(np.zeros((40, 30), dtype=bool)), np.zeros(30))
 
 
 def test_drape_range_and_pedestal_peak():
     mask = np.zeros((64, 64), dtype=bool)
     mask[50:, :] = True  # floor
     mask[20:, 24:40] = True  # pedestal
-    profile = body.drape(mask)
+    profile = drape_of(mask)
     assert profile.min() == 0.0 and profile.max() == 1.0
     # cloth rests exactly on the pedestal plateau center
     assert np.allclose(profile[28:36], 1.0)
@@ -108,7 +113,7 @@ def test_drape_step_profile_monotone():
     mask = np.zeros((64, 48), dtype=bool)
     mask[40:, :24] = True
     mask[22:, 24:] = True
-    profile = body.drape(mask)
+    profile = drape_of(mask)
     assert np.all(np.diff(profile) >= -1e-9)
     assert profile[0] == 0.0 and profile[-1] == 1.0
 
@@ -119,8 +124,8 @@ def test_drape_deterministic():
     tops = rng.integers(10, 45, size=40)
     for c, t in enumerate(tops):
         mask[t:, c] = True
-    a = body.drape(mask)
-    b = body.drape(mask)
+    a = drape_of(mask)
+    b = drape_of(mask)
     assert np.array_equal(a, b)
 
 
@@ -132,7 +137,7 @@ def test_drape_terminates_in_unit_interval(seed):
     tops = rng.integers(5, 48, size=32)
     for c, t in enumerate(tops):
         mask[t:, c] = True
-    profile = body.drape(mask)
+    profile = drape_of(mask)
     assert profile.shape == (32,)
     assert np.all(profile >= 0.0) and np.all(profile <= 1.0)
     assert np.all(np.isfinite(profile))
@@ -303,18 +308,9 @@ def test_segment_foreground_equals_reference(h, w, seed, spread):
 @settings(max_examples=200, deadline=None)
 @given(mask=drape_masks())
 def test_drape_bit_identical_to_reference(mask):
-    assert body.drape(mask).tobytes() == reference_drape(mask).tobytes()
-
-
-@settings(max_examples=200, deadline=None)
-@given(mask=drape_masks())
-def test_drape_reads_the_mask_only_through_its_supports(mask):
     limits = body.supports(mask)
     assert limits.dtype == np.float64 and limits.tobytes() == reference_supports(mask).tobytes()
-    # the silhouette with the same supports: each column solid from its support down
-    solid = np.arange(mask.shape[0])[:, None] >= limits
-    assert body.supports(solid).tobytes() == limits.tobytes()
-    assert body.drape(solid).tobytes() == body.drape(mask).tobytes()
+    assert body.drape(limits, mask.shape[0]).tobytes() == reference_drape(mask).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -373,7 +369,6 @@ def test_train_background_equals_the_stacked_float_form(n, h, w, seed, spread):
     mean, var = reference_train_background(frames)
     assert model.mean.tobytes() == mean.tobytes()
     assert model.var.tobytes() == var.tobytes()
-    assert model.sigma.tobytes() == np.sqrt(var).tobytes()
 
 
 @st.composite
@@ -402,9 +397,9 @@ def test_stacked_drape_rows_equal_lone_reference_drapes(stack, max_iters):
     with pytest.MonkeyPatch.context() as mp:
         if max_iters is not None:
             mp.setattr(body, "DRAPE_MAX_ITERS", max_iters)
-        profiles = body.drape(stack)
         limits = body.supports(stack)
-        lone = [body.drape(mask) for mask in stack]
+        profiles = body.drape(limits, stack.shape[1])
+        lone = [drape_of(mask) for mask in stack]
     assert profiles.shape == (len(stack), stack.shape[2]) and limits.shape == profiles.shape
     cap = {} if max_iters is None else {"max_iters": max_iters}
     for mask, row, own, lim in zip(stack, profiles, lone, limits):
@@ -418,7 +413,8 @@ def test_pose_references_equal_lone_reference_drapes():
     refs = viewer.build_pose_references(scene)
     assert [r.label for r in refs] == list(viewer.POSE_LABELS)
     for ref in refs:
-        assert ref.profile.tobytes() == reference_drape(viewer.silhouette_mask(ref.label, scene)).tobytes()
+        mask = viewer.silhouette_mask(ref.label, scene.width, scene.height)
+        assert ref.profile.tobytes() == reference_drape(mask).tobytes()
 
 
 def _slow_drape_mask(kind):
@@ -444,7 +440,7 @@ def test_drape_cut_inside_or_at_a_batch_matches_reference(kind, max_iters, monke
     want = reference_drape(mask, max_iters=max_iters)
     # the cut is visible: the settled cloth differs
     assert want.tobytes() != reference_drape(mask).tobytes()
-    assert body.drape(mask).tobytes() == want.tobytes()
+    assert drape_of(mask).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 16, 17, 18])
@@ -454,7 +450,7 @@ def test_drape_stops_free_fall_at_max_iters(max_iters, monkeypatch):
     mask[35:, :] = True
     mask[34:, 5] = True
     monkeypatch.setattr(body, "DRAPE_MAX_ITERS", max_iters)
-    assert body.drape(mask).tobytes() == reference_drape(mask, max_iters=max_iters).tobytes()
+    assert drape_of(mask).tobytes() == reference_drape(mask, max_iters=max_iters).tobytes()
 
 
 def test_segment_foreground_threshold_is_strict(monkeypatch):

@@ -216,6 +216,32 @@ def test_output_directory_naming_a_file_exits_2_before_running(tmp_path, capsys,
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["a\0b", "a" * 300, "a" * 300 + "/sub", "sub/" + "a" * 300, "\u00e9" * 128],
+    ids=["nul", "overlong", "overlong-parent", "overlong-under-new-dir", "overlong-in-bytes"],
+)
+@pytest.mark.parametrize("via", ["ini", "flag"])
+def test_unusable_output_name_exits_2_before_running(tmp_path, capsys, monkeypatch, via, name):
+    # each ran the whole episode, then exited 3 on os.makedirs: embedded null
+    # byte, or [Errno 36] File name too long; the limit counts bytes (128 é are 256)
+    monkeypatch.setattr(harness, "run_episode", lambda cfg: pytest.fail("the episode ran"))
+    out = os.path.join(tmp_path, name)
+    path = write(tmp_path, f"[episode]\nout = {out}\n" if via == "ini" else "")
+    argv = ["--out", out] if via == "flag" else []
+    assert cli.main(["run", "--config", path, "--steps", "10", *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: episode.out:")
+    assert os.listdir(tmp_path) == ["episode.ini"]
+
+
+def test_output_names_up_to_the_name_limit_accepted(tmp_path):
+    name_max = os.pathconf(tmp_path, "PC_NAME_MAX")
+    config.check_output_path("episode.out", os.path.join(tmp_path, "a" * name_max, "b" * name_max))
+    config.check_output_path("--out", os.path.join(tmp_path, "a" * name_max), file=True)
+    with pytest.raises(ConfigError):
+        config.check_output_path("--out", os.path.join(tmp_path, "a" * (name_max + 1)), file=True)
+
+
 def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
     # each of these alone was accepted and ran with exit 0; the first is named
     path = write(tmp_path, "[behavior]\nt_resp = -5\nr_lo = 0.5\nr_hi = 0.1\n[fusion]\nk_erratic = -3\ntau_jerk = nan\n")

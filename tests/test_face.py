@@ -16,6 +16,10 @@ def frame_from(arr):
     return Frame(np.asarray(arr, dtype=np.uint8))
 
 
+def crop(frame, rect):
+    return frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
+
+
 # --- partition_regions -------------------------------------------------------
 
 
@@ -401,15 +405,14 @@ def test_symmetry_mirror_face_zero():
     rng = np.random.default_rng(0)
     half = rng.integers(0, 256, size=(40, 20))
     img = np.hstack([half, half[:, ::-1]]).astype(np.uint8)
-    frame = frame_from(img)
-    s = face.symmetry_score(frame, face.FaceRect(0, 0, 40, 40))
+    s = face.symmetry_score(img)
     assert s == 0.0
 
 
 def test_symmetry_maximal():
     img = np.zeros((40, 40), dtype=np.uint8)
     img[:, 20:] = 255
-    s = face.symmetry_score(frame_from(img), face.FaceRect(0, 0, 40, 40))
+    s = face.symmetry_score(img)
     assert s == 1.0
 
 
@@ -418,15 +421,13 @@ def test_symmetry_maximal():
 def test_symmetry_invariant_under_mirror(seed):
     rng = np.random.default_rng(seed)
     img = rng.integers(0, 256, size=(32, 32)).astype(np.uint8)
-    rect = face.FaceRect(0, 0, 32, 32)
-    s1 = face.symmetry_score(frame_from(img), rect)
-    s2 = face.symmetry_score(frame_from(img[:, ::-1]), rect)
+    s1 = face.symmetry_score(img)
+    s2 = face.symmetry_score(img[:, ::-1])
     assert abs(s1 - s2) < 1e-12
 
 
 def reference_symmetry_score(frame, rect):
     """`face.symmetry_score` with scipy's median filter."""
-    rect.validate(frame)
     sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
     med = ndimage.median_filter(sub, size=3, mode="reflect")
     return float(np.abs(med - med[:, ::-1]).mean() / 255.0)
@@ -453,7 +454,7 @@ def test_symmetry_score_equals_reference(seed, levels):
     frame = frame_from(rng.integers(0, levels, size=(48, 40)) * (255 // (levels - 1)))
     x, y = int(rng.integers(0, 26)), int(rng.integers(0, 34))
     rect = face.FaceRect(x, y, int(rng.integers(14, 41 - x)), int(rng.integers(14, 49 - y)))
-    assert face.symmetry_score(frame, rect) == reference_symmetry_score(frame, rect)
+    assert face.symmetry_score(crop(frame, rect)) == reference_symmetry_score(frame, rect)
 
 
 # --- BrightnessBlobDetector ----------------------------------------------------------
@@ -514,7 +515,12 @@ def test_detect_equals_reference(h, w, blobs, specks, seed):
         img[y : y + rng.integers(1, 12), x : x + rng.integers(1, 12)] = rng.integers(130, 256)
     img[rng.integers(0, h, size=specks), rng.integers(0, w, size=specks)] = 130
     frame = frame_from(img)
-    assert face.BrightnessBlobDetector().detect(frame) == reference_detect(frame)
+    rect = face.BrightnessBlobDetector().detect(frame)
+    assert rect == reference_detect(frame)
+    # a face rect is at least MIN_FACE_SIDE on each side and lies inside the frame
+    if rect is not None:
+        assert rect.w >= face.MIN_FACE_SIDE and rect.h >= face.MIN_FACE_SIDE
+        assert 0 <= rect.x and rect.x + rect.w <= w and 0 <= rect.y and rect.y + rect.h <= h
 
 
 def reference_largest_blob_bounds(box):
@@ -655,7 +661,6 @@ def test_largest_blob_bounds_on_rendered_faces(scene, noise, yaw, dx, dy, seed):
 
 def reference_edge_cog_offset(frame, rect, theta_edge=face.THETA_EDGE):
     """`face.edge_cog_offset` with scipy's float Sobel over the whole rect."""
-    rect.validate(frame)
     sub = frame.pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w].astype(float)
     gx = ndimage.sobel(sub, axis=1, mode="reflect") / 4.0
     gy = ndimage.sobel(sub, axis=0, mode="reflect") / 4.0
@@ -707,7 +712,7 @@ def _edge_case(draw):
 @settings(max_examples=400, deadline=None)
 @given(case=_edge_case())
 def test_edge_cog_offset_equals_reference(case):
-    got, want = face.edge_cog_offset(*case), reference_edge_cog_offset(*case)
+    got, want = face.edge_cog_offset(crop(*case)), reference_edge_cog_offset(*case)
     assert repr(got) == repr(want) and type(got) is float
 
 
@@ -720,7 +725,7 @@ def test_edge_cog_offset_at_exact_magnitudes(monkeypatch):
     for m in np.unique(_reference_magnitudes(frame, rect)):
         for theta in (float(np.nextafter(m, -np.inf)), float(m), float(np.nextafter(m, np.inf))):
             monkeypatch.setattr(face, "THETA_EDGE", theta)
-            got, want = face.edge_cog_offset(frame, rect), reference_edge_cog_offset(frame, rect, theta)
+            got, want = face.edge_cog_offset(crop(frame, rect)), reference_edge_cog_offset(frame, rect, theta)
             assert repr(got) == repr(want), theta
 
 
@@ -733,7 +738,7 @@ def test_pad_edge_equals_numpy_edge_pad(shape):
 
 
 def test_edge_cog_uniform_rect_zero():
-    assert face.edge_cog_offset(flat_frame(), face.FaceRect(8, 8, 40, 40)) == 0.0
+    assert face.edge_cog_offset(crop(flat_frame(), face.FaceRect(8, 8, 40, 40))) == 0.0
 
 
 def test_edge_cog_single_left_edge():
@@ -742,14 +747,14 @@ def test_edge_cog_single_left_edge():
     # With rect half-width (41-1)/2 = 20, e = (9.5 - 20)/20 = -0.525.
     img = np.zeros((41, 41), dtype=np.uint8)
     img[:, 10:] = 200
-    e = face.edge_cog_offset(frame_from(img), face.FaceRect(0, 0, 41, 41))
+    e = face.edge_cog_offset(img)
     assert abs(e - (9.5 - 20.0) / 20.0) < 1e-9
 
 
 def test_edge_cog_sign_positive_for_right_mass():
     img = np.zeros((41, 41), dtype=np.uint8)
     img[:, 30:] = 200
-    e = face.edge_cog_offset(frame_from(img), face.FaceRect(0, 0, 41, 41))
+    e = face.edge_cog_offset(img)
     assert e > 0.4
 
 
@@ -828,8 +833,8 @@ def reference_face_cues(frames):
         if rect is None:
             out.append(None)
             continue
-        s = face.symmetry_score(frame, rect)
-        e = face.edge_cog_offset(frame, rect)
+        s = face.symmetry_score(crop(frame, rect))
+        e = face.edge_cog_offset(crop(frame, rect))
         prev_label = face.fuse_orientation(s, e, prev_label)
         cx, cy = rect.center
         track.append((float(cx), float(cy)))

@@ -210,7 +210,7 @@ def test_pixel_episodes_back_to_back_match_fresh_runs(tmp_path, capsys):
     assert written[0] == written[2]
     for label in viewer.POSE_LABELS:
         for side in ((128, 128), (64, 72)):
-            assert not viewer.silhouette_mask(label, viewer.SceneConfig(*side)).flags.writeable
+            assert not viewer.silhouette_mask(label, *side).flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -232,8 +232,9 @@ def test_memoized_gestures_equal_a_fresh_classification(tmp_path, monkeypatch, s
         mask = body.segment_foreground(self.background, body_frame)
         fresh = None
         if mask.mean() >= 0.01:
-            fresh = body.classify_pose(body.drape(mask), self.pose_refs)
-            seen.add(body.supports(mask).tobytes())
+            limits = body.supports(mask)
+            fresh = body.classify_pose(body.drape(limits, mask.shape[0]), self.pose_refs)
+            seen.add(limits.tobytes())
         assert cues[2] == fresh
         assert len(self.gestures) <= harness.GESTURE_MEMO_SIZE
         frames.append(fresh)
@@ -687,6 +688,32 @@ def test_cli_analyze_output_unchanged(tmp_path, capsys):
     assert hashlib.sha256((out / "frames" / "analysis.csv").read_bytes()).hexdigest() == ANALYSIS_DIGEST
 
 
+@pytest.mark.parametrize("width, height", [(128, 128), (96, 96)])
+@pytest.mark.parametrize("noise", [0, 2, 8])
+@pytest.mark.parametrize("seed", [3, 8, 11])
+def test_analyze_replays_the_live_face_cues(tmp_path, capsys, seed, noise, width, height):
+    # stored frames give the orientation and jerk the closed loop acted on;
+    # analysis.csv keeps 4 decimals of jerk, episode.csv 6
+    out = tmp_path / "px"
+    ini = tmp_path / "px.ini"
+    ini.write_text(
+        f"[episode]\nmode = pixels\nsteps = 100\nseed = {seed}\nout = {out}\n[profile]\nerratic_rate = 0.15\n"
+        f"[scene]\nwidth = {width}\nheight = {height}\nnoise_sigma = {noise}\n"
+    )
+    assert cli.main(["run", "--config", str(ini), "--dump-frames"]) == 0
+    assert cli.main(["analyze", "--frames", str(out / "frames")]) == 0, capsys.readouterr().err
+    with open(out / "episode.csv", newline="") as f:
+        live = list(csv.DictReader(f))
+    with open(out / "frames" / "analysis.csv", newline="") as f:
+        stored = list(csv.DictReader(f))
+    assert [r["frame"] for r in stored] == [f"face_{tick:06d}.pgm" for tick in range(100)]
+    for row, cues in zip(live, stored, strict=True):
+        assert cues["orientation"] == row["orientation"]
+        assert (cues["face"] == "0") == (row["orientation"] == "NoFace")
+        if cues["face"] == "1":
+            assert abs(float(cues["jerk"]) - float(row["jerk"])) <= 5e-5 + 5e-7
+
+
 def test_cli_analyze_empty_out_exits_2_writing_nothing(tmp_path, capsys):
     # an empty --out used to fall back to <frames>/analysis.csv and overwrite it
     out = tmp_path / "px"
@@ -726,6 +753,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         (["plot", "--log", "{log}", "--out", "{a_dir}"], "--out"),  # read the whole log, then exit 3
         (["plot", "--log", "{log}", "--out", "{missing}/curve.csv"], "--out"),
         (["plot", "--log", "{log}", "--out", ""], "--out"),
+        (["analyze", "--frames", "{frames}", "--out", "{tmp}/a\0b.csv"], "--out"),  # embedded null byte, exit 3
+        (["analyze", "--frames", "{frames}", "--out", "{tmp}/" + "a" * 300 + ".csv"], "--out"),  # was [Errno 36]
+        (["plot", "--log", "{log}", "--out", "{tmp}/a\0b.csv"], "--out"),  # read the whole log, then exit 3
+        (["plot", "--log", "{log}", "--out", "{tmp}/" + "a" * 300 + ".csv"], "--out"),  # the same, [Errno 36]
     ],
     ids=[
         "analyze-out-dir",
@@ -740,6 +771,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "plot-out-dir",
         "plot-out-missing-parent",
         "plot-out-empty",
+        "analyze-out-nul",
+        "analyze-out-overlong",
+        "plot-out-nul",
+        "plot-out-overlong",
     ],
 )
 def test_cli_unusable_paths_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):

@@ -467,12 +467,12 @@ def test_rendered_frame_bytes_unchanged():
 
 def test_silhouette_labels_complete_and_distinct():
     scene = SceneConfig()
-    masks = [silhouette_mask(label, scene) for label in POSE_LABELS]
+    masks = [silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             assert (masks[i] != masks[j]).any()
     with pytest.raises(UnknownPoseLabel):
-        silhouette_mask("Handstand", scene)
+        silhouette_mask("Handstand", scene.width, scene.height)
 
 
 def test_pose_references_are_separable():
@@ -491,7 +491,7 @@ def test_noisy_silhouettes_classify_correctly():
     for label in POSE_LABELS:
         frame = synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
-        got = body.classify_pose(body.drape(mask), refs)
+        got = body.classify_pose(body.drape(body.supports(mask), scene.height), refs)
         assert got == label
 
 
@@ -531,11 +531,12 @@ def test_kept_geometry_is_read_only():
     # the silhouette and ellipse masks are shared across frames and
     # episodes, so no caller may write through them
     scene = SceneConfig()
-    for mask in [*(silhouette_mask(label, scene) for label in POSE_LABELS), viewer._ellipse(24, 30), viewer._EYE]:
+    silhouettes = [silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS]
+    for mask in [*silhouettes, viewer._ellipse(24, 30), viewer._EYE]:
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0] = True
-    assert silhouette_mask("Wave", scene) is silhouette_mask("Wave", SceneConfig(noise_sigma=0.0))
+    assert silhouette_mask("Wave", scene.width, scene.height) is silhouette_mask("Wave", 128, 128)
 
 
 def test_body_frame_without_pose_is_background():
