@@ -49,7 +49,7 @@ def main(argv=None):
     for label in viewer.POSE_LABELS:
         frame = viewer.synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
-        got = body.classify_pose(body.drape(body.supports(mask), scene.height), refs)
+        got = body.classify_pose(body.drape(body.supports(mask)), refs)
         print(f"  {label:15s} -> {got:15s} {'ok' if got == label else 'MISS'}")
     return 0
 

@@ -150,12 +150,12 @@ def _free_fall(lowest: float) -> tuple[float, int]:
     return fall, start
 
 
-def drape(limits: np.ndarray, height: int) -> np.ndarray:
+def drape(limits: np.ndarray) -> np.ndarray:
     """Drop a 1-node-per-column cloth onto the column settle limits of a
-    mask `height` rows tall (see `supports`) and return the settled profile,
-    normalized to [0, 1] (constant profiles normalize to all zeros). A stack
-    of limits (k, w) gives a stack of profiles (k, w), each the one its
-    limits alone give.
+    mask (see `supports`) and return the settled profile, measured up from
+    its lowest node and normalized to [0, 1] (constant profiles normalize
+    to all zeros). A stack of limits (k, w) gives a stack of profiles
+    (k, w), each the one its limits alone give.
 
     Each iteration every node falls by DRAPE_GRAVITY until blocked by its
     column's limit, then relaxes toward its neighbors' average with weight
@@ -218,7 +218,7 @@ def drape(limits: np.ndarray, height: int) -> np.ndarray:
         if not moving:
             break
         history[0] = history[n]
-    heights = height - settled  # measure up from the frame bottom
+    heights = -settled  # measure up from the lowest settled node
     low = heights.min(axis=1, keepdims=True)
     span = heights.max(axis=1, keepdims=True) - low
     profiles = np.zeros((k, w))

@@ -77,7 +77,7 @@ class PixelPipeline:
             key = limits.tobytes()
             gesture = self.gestures.get(key)
             if gesture is None:
-                gesture = body.classify_pose(body.drape(limits, mask.shape[0]), self.pose_refs)
+                gesture = body.classify_pose(body.drape(limits), self.pose_refs)
                 if len(self.gestures) == GESTURE_MEMO_SIZE:
                     del self.gestures[next(iter(self.gestures))]
                 self.gestures[key] = gesture

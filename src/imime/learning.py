@@ -98,15 +98,30 @@ class PolicyConfig:
 class QTable:
     def __init__(self, routines: tuple[Routine, ...], q: np.ndarray | None = None):
         self.routines = tuple(routines)
-        self.index = {r: i for i, r in enumerate(self.routines)}
         n = len(self.routines)
         self.q = np.zeros((n, 2, n)) if q is None else np.asarray(q, float)
+        # each state's class of equal rows, from update_values; None: all apart
+        self.classes: list[int] | None = None
 
     def row(self, s: StateId) -> np.ndarray:
-        return self.q[self.index[s.routine], int(s.attending)]
+        return self.q[self.routines.index(s.routine), int(s.attending)]
 
     def greedy(self, s: StateId) -> Routine:
         return self.routines[int(np.argmax(self.row(s)))]
+
+
+def _classes(p: np.ndarray, q: np.ndarray, groups: list[int]) -> list[int] | None:
+    """Each state's class: states in the same group whose p and q rows have
+    the same bits (bytes, so 0.0 and -0.0 stay apart). None when every
+    state is its own class."""
+    width = 8 * p.shape[1]
+    pb, qb = p.tobytes(), q.tobytes()
+    seen: dict[tuple, int] = {}
+    of = [
+        seen.setdefault((g, pb[i : i + width], qb[i : i + width]), len(seen))
+        for g, i in zip(groups, range(0, len(pb), width))
+    ]
+    return None if len(seen) == len(of) else of
 
 
 def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: QTable | None = None) -> QTable:
@@ -138,28 +153,57 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
     the residual first drops below tol are still decided on the numpy
     sweeps, so a short guess costs one more batch and a long one a few
     unused sweeps, never a different output.
+
+    States whose p rows and starting q rows have the same bits get the same
+    row in every sweep, since a row depends only on its own p row and on
+    the state values all states share (exact state aggregation, as in
+    harness.oracle_policy). So the sweeps run over one row per class of
+    such states, successors are looked up by class, and each state takes
+    its class's row at the end. A class row's residual and maximum are
+    those of each of its states, so tables and residuals are unchanged.
+    Rows are compared only where they can be equal: all states from the
+    zero table, and the states a table from update_values puts in one
+    class (its `classes`, the hint); a table built elsewhere has all states
+    apart. Inside that, the split is by row bytes, so a stale hint costs
+    speed, never bits.
     """
     cfg = cfg or PolicyConfig()
     n = len(model.routines)
     # flatten to (state, action) with states routine-major: s = 2*routine + attending
     p = model.p.reshape(2 * n, n)
-    q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n).copy()
+    q = np.zeros_like(p) if q0 is None else q0.q.reshape(2 * n, n)
+    # states that may share rows: all from the zero table, those the hint of
+    # a table from update_values puts together, none of a table built elsewhere
+    groups = [0] * (2 * n) if q0 is None else q0.classes
+    of = None if groups is None else _classes(p, q, groups)
+    # each state's class, and the classes of each action's attending and
+    # inattentive successors as numpy selects them
+    if of is None:
+        ids, to_att, to_not = range(2 * n), slice(1, None, 2), slice(0, None, 2)
+    else:
+        reps = [of.index(c) for c in range(max(of) + 1)]  # one row per class
+        p, q = p[reps], q[reps]
+        ids, to_att, to_not = of, of[1::2], of[0::2]
     gamma, tol = cfg.gamma, cfg.tol
-    cols = p.T.tolist()  # per action, its p in each state
+    cols = p.T.tolist()  # per action, its p in each class
+    # per action: its p column, its attending and its inattentive successor
+    actions = list(zip(cols, ids[1::2], ids[0::2]))
     residuals = []
     while len(residuals) < MAX_SWEEPS:
-        v = q.max(axis=1).tolist()  # value of best action in each state
+        v = q.max(axis=1).tolist()  # value of best action in each class
         flat = list(v)
         size = min(VI_BATCH, MAX_SWEEPS - len(residuals))
         if size > 1:
             # the first sweep, one action column at a time
-            v_not = v[0::2]
+            u = v if of is None else [v[c] for c in of]  # each state's value
+            v_not = u[0::2]
             columns = [
-                [pa + gamma * (pa * d + vn) for pa in col] for col, d, vn in zip(cols, map(sub, v[1::2], v_not), v_not)
+                [pa + gamma * (pa * d + vn) for pa in col] for col, d, vn in zip(cols, map(sub, u[1::2], v_not), v_not)
             ]
-            first = list(zip(*columns))  # each state's row of the first sweep
+            first = list(zip(*columns))  # each class's row of the first sweep
             prev, v = v, list(map(max, first))
-            terms = [(cols[b][s], 2 * b + 1, 2 * b) for s, b in enumerate(map(tuple.index, first, v))]
+            chosen = map(actions.__getitem__, map(tuple.index, first, v))
+            terms = [(col[c], att, nat) for c, (col, att, nat) in enumerate(chosen)]
             flat += v
             # the move of the last carried sweep, and whether the one before
             # it was measured too
@@ -183,10 +227,10 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
                 else:
                     paired = True
             size = count
-        vs = np.fromiter(flat, float, len(flat)).reshape(size, 2 * n)
-        v_att = vs[:, None, 1::2]  # successor state (action routine, attending=True)
-        v_not = vs[:, None, 0::2]
-        sweeps = np.empty((size + 1, 2 * n, n))
+        vs = np.fromiter(flat, float, len(flat)).reshape(size, len(p))
+        v_att = vs[:, None, to_att]  # successor state (action routine, attending=True)
+        v_not = vs[:, None, to_not]
+        sweeps = np.empty((size + 1, len(p), n))
         sweeps[0] = q
         sweeps[1:] = p + gamma * (p * (v_att - v_not) + v_not)
         # sweep k + 1 is exact while the carried values up to k are the row
@@ -201,8 +245,10 @@ def update_values(model: TransitionModel, cfg: PolicyConfig | None = None, q0: Q
         for k, r in enumerate(resid.tolist()):
             residuals.append(r)
             if r < tol:
-                table = QTable(model.routines, sweeps[k + 1].reshape(n, 2, n).copy())
+                rows = sweeps[k + 1].copy() if of is None else sweeps[k + 1][of]
+                table = QTable(model.routines, rows.reshape(n, 2, n))
                 table.residuals = residuals
+                table.classes = of
                 return table
         q = sweeps[valid]
     raise NonConvergence(residuals[-1])

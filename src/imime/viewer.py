@@ -296,5 +296,5 @@ def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReferenc
     """Drape profiles of the canonical noiseless silhouettes, draped in one call."""
     scene = scene or SceneConfig()
     masks = np.stack([silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS])
-    profiles = drape(supports(masks), scene.height)
+    profiles = drape(supports(masks))
     return [PoseReference(label, profile) for label, profile in zip(POSE_LABELS, profiles)]

@@ -201,7 +201,7 @@ def test_criterion_6_vision_accuracy():
     for label in viewer.POSE_LABELS:
         frame = viewer.synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
-        pose_hits += body.classify_pose(body.drape(body.supports(mask), scene.height), refs) == label
+        pose_hits += body.classify_pose(body.drape(body.supports(mask)), refs) == label
 
     # jerk: every injected burst crosses the threshold, cubic motion never does
     positions = []

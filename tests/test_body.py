@@ -82,7 +82,7 @@ def test_segment_dimension_mismatch():
 
 def drape_of(mask):
     """The drape profile(s) of a mask or a stack of masks."""
-    return body.drape(body.supports(mask), mask.shape[-2])
+    return body.drape(body.supports(mask))
 
 
 def test_drape_flat_support_all_zeros():
@@ -208,7 +208,7 @@ def reference_supports(mask):
 def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
     """`body.drape` as a plain loop: every iteration, each tested for
     convergence, no free-fall shortcut."""
-    h, w = mask.shape
+    w = mask.shape[1]
     limits = reference_supports(mask)
     y = np.zeros(w)
     for _ in range(max_iters):
@@ -220,7 +220,7 @@ def reference_drape(mask, gravity=2.0, coupling=0.25, tol=0.05, max_iters=2000):
             y = relaxed
             break
         y = relaxed
-    heights = h - y
+    heights = -y  # measured up from the lowest node
     span = heights.max() - heights.min()
     if span == 0:
         return np.zeros(w)
@@ -310,7 +310,7 @@ def test_segment_foreground_equals_reference(h, w, seed, spread):
 def test_drape_bit_identical_to_reference(mask):
     limits = body.supports(mask)
     assert limits.dtype == np.float64 and limits.tobytes() == reference_supports(mask).tobytes()
-    assert body.drape(limits, mask.shape[0]).tobytes() == reference_drape(mask).tobytes()
+    assert body.drape(limits).tobytes() == reference_drape(mask).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,7 +398,7 @@ def test_stacked_drape_rows_equal_lone_reference_drapes(stack, max_iters):
         if max_iters is not None:
             mp.setattr(body, "DRAPE_MAX_ITERS", max_iters)
         limits = body.supports(stack)
-        profiles = body.drape(limits, stack.shape[1])
+        profiles = body.drape(limits)
         lone = [drape_of(mask) for mask in stack]
     assert profiles.shape == (len(stack), stack.shape[2]) and limits.shape == profiles.shape
     cap = {} if max_iters is None else {"max_iters": max_iters}

@@ -180,6 +180,9 @@ LABEL_EPISODE_DIGESTS = [
     ("[profile]\nerratic_rate = 0.15\n", "b058c2dcfb26bc732fdfbc7ec3ab519e3e02362d649a3a04c2f78a6b8990c3b6"),
     ("[p_star]\nbeckon.notattending.mimic = 0.95\n", "71a278606ce56c2588981cce38da4371c4de0ccb269bdd42134512d257dd62c8"),
     ("[learning]\nrandom_policy = yes\n", "eaf399e92b1fdd7027f89b7dd3c65442ed093061f90271e8b51489b316d884dd"),
+    # one and two routines: the learner's cold start is one class of states
+    ("[profile]\nroutines = Mimic\n", "d0ff3f06d554121c024c3d27f0c5c2026450f1c6471fbce6874f44a937bac3a7"),
+    ("[profile]\nroutines = Mimic, Beckon\n", "0b757b4e73d0a8405e61ed9c8ca35b13aac17a6cf0043587ad0b710b6cfc6f16"),
 ]
 
 
@@ -233,7 +236,7 @@ def test_memoized_gestures_equal_a_fresh_classification(tmp_path, monkeypatch, s
         fresh = None
         if mask.mean() >= 0.01:
             limits = body.supports(mask)
-            fresh = body.classify_pose(body.drape(limits, mask.shape[0]), self.pose_refs)
+            fresh = body.classify_pose(body.drape(limits), self.pose_refs)
             seen.add(limits.tobytes())
         assert cues[2] == fresh
         assert len(self.gestures) <= harness.GESTURE_MEMO_SIZE

@@ -201,6 +201,14 @@ def _sweep_update_values(model, cfg, q0=None):
     raise NonConvergence(residuals[-1])
 
 
+def _matches_whole_table_sweeps(model, cfg, q0=None):
+    q = update_values(model, cfg, q0)
+    expected, residuals = _sweep_update_values(model, cfg, q0)
+    assert q.q.tobytes() == expected.tobytes()
+    assert q.residuals == residuals
+    return q
+
+
 @st.composite
 def _value_case(draw):
     n = draw(st.integers(1, 4))
@@ -219,6 +227,15 @@ def _value_case(draw):
     q0 = None
     if draw(st.booleans()):
         q0 = QTable(R4[:n], rng.normal(0.0, 5.0, (n, 2, n)))
+        if draw(st.booleans()):
+            # a hint as update_values leaves it: the states it puts together
+            # share their p and q0 rows, but for one p cell changed after,
+            # as Learner.observe changes it
+            q0.classes = rng.integers(0, 3, 2 * n).tolist()
+            rows, q_rows = p.reshape(2 * n, n), q0.q.reshape(2 * n, n)
+            for s, c in enumerate(q0.classes):
+                rows[s], q_rows[s] = rows[q0.classes.index(c)], q_rows[q0.classes.index(c)]
+            rows[rng.integers(2 * n), rng.integers(n)] = rng.random()
     # gamma 0 converges in two sweeps; 0.99 and 0.999 need more than VI_BATCH
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999]))
     tol = draw(st.sampled_from([1e-6, 1e-10, 1e-12]))
@@ -305,11 +322,8 @@ def test_update_values_bit_identical_at_session_cadence(monkeypatch, seed):
     calls = []
 
     def checked(model, cfg, q0=None):
-        q = update_values(model, cfg, q0)
-        expected, residuals = _sweep_update_values(model, cfg, q0)
-        assert q.q.tobytes() == expected.tobytes()
-        assert q.residuals == residuals
-        calls.append(len(residuals))
+        q = _matches_whole_table_sweeps(model, cfg, q0)
+        calls.append(len(q.residuals))
         return q
 
     monkeypatch.setattr(learning, "update_values", checked)
@@ -330,6 +344,71 @@ def test_update_values_nonconvergence_matches_whole_table_sweeps():
         with pytest.raises(NonConvergence) as want:
             _sweep_update_values(model, cfg)
     assert got.value.residual == want.value.residual
+
+
+def test_class_sweeps_follow_a_correct_hint():
+    # the cold start is one class; each changed cell splits its state off,
+    # and the table after a call says which states still share rows
+    model, cfg = TransitionModel(R4), PolicyConfig()
+    q = _matches_whole_table_sweeps(model, cfg)
+    assert q.classes == [0] * 8
+    for cell, classes in [
+        ((0, 1, 2), [0, 1, 0, 0, 0, 0, 0, 0]),
+        ((2, 0, 0), [0, 1, 0, 0, 2, 0, 0, 0]),
+        ((0, 1, 3), [0, 1, 0, 0, 2, 0, 0, 0]),  # a state already apart
+        ((3, 1, 1), [0, 1, 0, 0, 2, 0, 0, 3]),
+    ]:
+        model.p[cell] = 0.75
+        q = _matches_whole_table_sweeps(model, cfg, q)
+        assert q.classes == classes
+    for i, j in np.ndindex(4, 2):
+        model.p[i, j, 0] = 0.1 * (2 * i + j)
+    q = _matches_whole_table_sweeps(model, cfg, q)
+    assert q.classes is None  # every state apart: the strided sweeps
+    assert _matches_whole_table_sweeps(model, cfg, q).classes is None
+
+
+def test_class_sweeps_split_a_stale_hint_by_row_bits():
+    # the hint puts all states together, but their q0 rows differ: in two
+    # patterns, and in one entry by the sign of zero alone
+    p = np.full((4, 2, 4), 0.5)
+    cfg = PolicyConfig()
+    base = np.array([0.0, -1.0, 2.0, 3.0])
+    q0 = QTable(R4, np.tile(base, (4, 2, 1)))
+    q0.q[1, 0] = base[::-1]
+    q0.q[2, 1, 0] = -0.0
+    q0.classes = [0] * 8
+    q = _matches_whole_table_sweeps(TransitionModel(R4, p), cfg, q0)
+    assert q.classes == [0, 0, 1, 0, 0, 2, 0, 0]
+    # p rows that differ by the sign of zero alone are apart too
+    p[3, :, 1] = -0.0, 0.0
+    q0.q[...] = base
+    q = _matches_whole_table_sweeps(TransitionModel(R4, p), cfg, q0)
+    assert q.classes == [0, 0, 0, 0, 0, 0, 1, 2]
+
+
+def test_class_sweeps_split_equal_p_rows_by_q0_rows():
+    rng = np.random.default_rng(8)
+    p = np.tile(rng.random(4), (4, 2, 1))  # every state's p row the same
+    q0 = QTable(R4, np.tile(rng.normal(0.0, 5.0, 4), (4, 2, 1)))
+    q0.q[0] = rng.normal(0.0, 5.0, 4)  # the first routine's two states
+    q0.classes = [0, 0, 0, 0, 1, 1, 1, 1]
+    cfg = PolicyConfig(gamma=0.9, tol=1e-12)
+    q = _matches_whole_table_sweeps(TransitionModel(R4, p), cfg, q0)
+    assert q.classes == [0, 0, 1, 1, 2, 2, 2, 2]
+    # a table built elsewhere carries no hint: no states are compared
+    q0.classes = None
+    assert _matches_whole_table_sweeps(TransitionModel(R4, p), cfg, q0).classes is None
+
+
+def test_class_sweeps_on_one_routine():
+    one = (Routine.Mimic,)
+    cfg = PolicyConfig(gamma=0.9, tol=1e-10)
+    q = _matches_whole_table_sweeps(TransitionModel(one), cfg)
+    assert q.classes == [0, 0]  # the cold start is a single class
+    model = TransitionModel(one, np.array([[[0.25], [0.5]]]))
+    assert _matches_whole_table_sweeps(model, cfg, q).classes is None
+    assert _matches_whole_table_sweeps(model, cfg).classes is None
 
 
 def test_value_iteration_zero_evidence_is_symmetric():

@@ -491,7 +491,7 @@ def test_noisy_silhouettes_classify_correctly():
     for label in POSE_LABELS:
         frame = synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
-        got = body.classify_pose(body.drape(body.supports(mask), scene.height), refs)
+        got = body.classify_pose(body.drape(body.supports(mask)), refs)
         assert got == label
 
 
