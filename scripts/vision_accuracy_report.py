@@ -44,7 +44,7 @@ def main(argv=None):
 
     frames = [viewer.synthesize_body_frame(None, scene, rng) for _ in range(harness.BACKGROUND_TRAINING_FRAMES)]
     bg = body.train_background(frames)
-    refs = viewer.build_pose_references(scene)
+    refs = viewer.build_pose_references()
     print("\npose classification (noisy silhouettes):")
     for label in viewer.POSE_LABELS:
         frame = viewer.synthesize_body_frame(label, scene, rng)

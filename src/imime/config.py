@@ -14,9 +14,8 @@ import numpy as np
 
 from .attention import FusionConfig
 from .behavior import BehaviorConfig, Routine
-from .face import FACE_THRESHOLD
 from .learning import MAX_SWEEPS, PolicyConfig
-from .viewer import SceneConfig, SceneError, ViewerProfile, default_profile
+from .viewer import SceneConfig, ViewerProfile, default_profile
 
 
 class ConfigError(ValueError):
@@ -79,12 +78,6 @@ class EpisodeConfig:
         if self.mode not in ("labels", "pixels"):
             raise ConfigError("episode.mode", f"unknown mode {self.mode!r}")
         check_output_path("episode.out", self.out_dir)
-        # a background as bright as a face reads as one face filling the frame
-        if self.mode == "pixels" and not self.scene.bg_intensity < FACE_THRESHOLD:
-            raise ConfigError(
-                "scene.bg_intensity",
-                f"must be below the face threshold {FACE_THRESHOLD} in pixel mode (got {self.scene.bg_intensity})",
-            )
         # label mode renders no frames to dump
         if self.dump_frames and self.mode != "pixels":
             raise ConfigError("episode.dump_frames", f"needs pixel mode (mode is {self.mode})")
@@ -95,6 +88,9 @@ class EpisodeConfig:
         if not (math.isfinite(self.frame_rate) and self.frame_rate > 0.0):
             raise ConfigError("episode.frame_rate", f"must be > 0 and finite (got {self.frame_rate})")
         _ = self.frames_per_decision
+        sigma = self.scene.noise_sigma
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ConfigError("scene.noise_sigma", f"must be >= 0 and finite (got {sigma})")
         learning, profile = self.learning, self.profile
         # `not` around each range keeps NaN out too
         if not 0.0 <= learning.gamma < 1.0:
@@ -271,10 +267,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
     behavior = BehaviorConfig(**_read(parser, "behavior"))
     fusion = FusionConfig(**_read(parser, "fusion"))
     profile = _load_profile(parser)
-    try:
-        scene = SceneConfig(**_read(parser, "scene"))
-    except SceneError as exc:
-        raise ConfigError(f"scene.{exc.key}", exc.message) from exc
+    scene = SceneConfig(**_read(parser, "scene"))
     cfg = EpisodeConfig(**episode, learning=learning, behavior=behavior, fusion=fusion, profile=profile, scene=scene)
 
     if overrides:

@@ -30,6 +30,8 @@ from .learning import Learner, StateId
 BACKGROUND_TRAINING_FRAMES = 10
 CURVE_WINDOW = 100  # decisions per attention-fraction window of the learning curve
 GESTURE_MEMO_SIZE = 64  # distinct body supports a PixelPipeline keeps labels for
+# label mode sees the whole face ellipse's bounding box
+LABEL_FACE_RATIO = (2 * viewer.FACE_AX + 1) * (2 * viewer.FACE_AY + 1) / (viewer.WIDTH * viewer.HEIGHT)
 
 
 @dataclass
@@ -57,7 +59,7 @@ class PixelPipeline:
             for _ in range(BACKGROUND_TRAINING_FRAMES)
         ]
         self.background = body.train_background(bg_frames)
-        self.pose_refs = viewer.build_pose_references(cfg.scene)
+        self.pose_refs = viewer.build_pose_references()
         self.gestures: dict[bytes, str] = {}
 
     def process(self, face_frame, body_frame):
@@ -108,8 +110,6 @@ def run_episode(cfg: EpisodeConfig):
         os.makedirs(frames_dir, exist_ok=True)
 
     label_jerk_window: deque[tuple[float, float]] = deque(maxlen=5)
-    # label mode sees the whole face ellipse's bounding box
-    label_ratio = (2 * cfg.scene.face_ax + 1) * (2 * cfg.scene.face_ay + 1) / (cfg.scene.width * cfg.scene.height)
 
     # the scheduler consults the policy only on decision ticks, in the state
     # of that tick; a decision counts as explored only when the policy was
@@ -131,7 +131,7 @@ def run_episode(cfg: EpisodeConfig):
         # 2. perception: both modes give the same cues, fused here
         if pipeline is None:
             label_jerk_window.append((vstate.x, vstate.y))
-            cues = viewer.true_orientation(vstate.yaw), face.estimate_jerk(label_jerk_window), vstate.pose, label_ratio
+            cues = viewer.true_orientation(vstate.yaw), face.estimate_jerk(label_jerk_window), vstate.pose, LABEL_FACE_RATIO
         else:
             face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
             body_frame = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)

@@ -4,7 +4,6 @@ mode) or rendered face/body frames (pixel mode)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -12,7 +11,7 @@ import numpy as np
 
 from .behavior import GESTURES, Routine
 from .body import PoseReference, drape, supports
-from .frames import MIN_SIDE, Frame
+from .frames import Frame
 
 POSE_LABELS = ("ArmsDown", *GESTURES)
 
@@ -28,6 +27,13 @@ FACE_INTENSITY = 200.0
 FEATURE_INTENSITY = 40.0  # eyes and mouth
 BODY_INTENSITY = 160.0
 
+# The camera does not move: the head clamp in `frame_update`, the
+# silhouettes and the vision tuning all assume a 128x128 frame showing a
+# 24x30 head (ellipse semi-axes) on a background of 60.
+WIDTH, HEIGHT = 128, 128
+FACE_AX, FACE_AY = 24, 30
+BG_INTENSITY = 60.0
+
 
 def true_orientation(yaw: float) -> str:
     """The head-orientation label of a viewer at `yaw` degrees: Frontal
@@ -37,14 +43,6 @@ def true_orientation(yaw: float) -> str:
 
 class UnknownPoseLabel(ValueError):
     pass
-
-
-class SceneError(ValueError):
-    """A scene that cannot be rendered; `key` names the bad field."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
-        self.key, self.message = key, message
 
 
 @dataclass
@@ -97,24 +95,7 @@ class ViewerState:
 
 @dataclass
 class SceneConfig:
-    width: int = 128
-    height: int = 128
-    bg_intensity: float = 60.0
-    noise_sigma: float = 2.0
-    face_ax: int = 24  # face ellipse semi-axes
-    face_ay: int = 30
-
-    def __post_init__(self):
-        for key, side in (("width", self.width), ("height", self.height)):
-            if side < MIN_SIDE:
-                raise SceneError(key, f"frame side must be >= {MIN_SIDE} (got {side})")
-        for key, semi, side in (("face_ax", self.face_ax, self.width), ("face_ay", self.face_ay, self.height)):
-            if not (semi >= 1 and 2 * semi + 1 <= side):
-                raise SceneError(key, f"face does not fit in the frame (semi-axis {semi}, frame side {side})")
-        if not math.isfinite(self.bg_intensity):
-            raise SceneError("bg_intensity", f"must be finite (got {self.bg_intensity})")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise SceneError("noise_sigma", f"must be >= 0 and finite (got {self.noise_sigma})")
+    noise_sigma: float = 2.0  # sensor noise, intensity levels
 
 
 def step_viewer(
@@ -170,11 +151,11 @@ def _noisy_background(scene: SceneConfig, rng: np.random.Generator) -> np.ndarra
     standard normals scaled in place, the same bytes and generator state as
     `rng.normal(0.0, sigma, size)`, which computes 0.0 + sigma * z."""
     if scene.noise_sigma > 0:
-        img = rng.standard_normal((scene.height, scene.width))
+        img = rng.standard_normal((HEIGHT, WIDTH))
         img *= scene.noise_sigma
-        img += scene.bg_intensity
+        img += BG_INTENSITY
         return img
-    return np.full((scene.height, scene.width), scene.bg_intensity)
+    return np.full((HEIGHT, WIDTH), BG_INTENSITY)
 
 
 def _to_pixels(img: np.ndarray) -> np.ndarray:
@@ -182,14 +163,13 @@ def _to_pixels(img: np.ndarray) -> np.ndarray:
     return np.clip(img, 0, 255, out=img).astype(np.uint8)
 
 
-@lru_cache(maxsize=16)
-def _ellipse(ax: int, ay: int) -> np.ndarray:
-    """Read-only mask of the head ellipse over its (2ay+1, 2ax+1) bounding
-    box, centred on the middle pixel."""
-    dy, dx = np.ogrid[-ay : ay + 1, -ax : ax + 1]
-    inside = (dx / ax) ** 2 + (dy / ay) ** 2 <= 1.0
-    inside.flags.writeable = False
-    return inside
+# read-only mask of the head ellipse over its (2 FACE_AY + 1, 2 FACE_AX + 1)
+# bounding box, centred on the middle pixel
+_ELLIPSE = (
+    np.add.outer((np.arange(-FACE_AY, FACE_AY + 1) / FACE_AY) ** 2, (np.arange(-FACE_AX, FACE_AX + 1) / FACE_AX) ** 2)
+    <= 1.0
+)
+_ELLIPSE.flags.writeable = False
 
 
 # the eye disks, (dx, dy) within 3 px of their centres
@@ -203,15 +183,14 @@ def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random
     and mouth features shifted by yaw, and a lateral shading gradient whose
     strength grows monotonically with |yaw|. Each part is painted only
     inside its own bounding box, clipped to the head's and the frame's."""
-    h, w = scene.height, scene.width
     img = _noisy_background(scene, rng)
 
     cx, cy = round(state.x), round(state.y)
-    ax, ay = scene.face_ax, scene.face_ay
+    ax, ay = FACE_AX, FACE_AY
     # the head's bounding box, clipped to the frame
     x0, y0 = max(cx - ax, 0), max(cy - ay, 0)
-    x1, y1 = max(min(cx + ax + 1, w), x0), max(min(cy + ay + 1, h), y0)
-    inside = _ellipse(ax, ay)[y0 - cy + ay : y1 - cy + ay, x0 - cx + ax : x1 - cx + ax]
+    x1, y1 = max(min(cx + ax + 1, WIDTH), x0), max(min(cy + ay + 1, HEIGHT), y0)
+    inside = _ELLIPSE[y0 - cy + ay : y1 - cy + ay, x0 - cx + ax : x1 - cx + ax]
     slope = SHADE_SLOPE_AT_45 * state.yaw / 45.0
     np.copyto(img[y0:y1, x0:x1], FACE_INTENSITY + slope * (np.arange(x0, x1) - cx), where=inside)
 
@@ -237,9 +216,10 @@ def synthesize_face_frame(state: ViewerState, scene: SceneConfig, rng: np.random
     return Frame(_to_pixels(img))
 
 
-def silhouette_top_contour(label: str, w: int, h: int) -> np.ndarray:
-    """Per-column top row (frame coordinates) of the canonical silhouette in
-    a w x h frame; columns with no body are set to the frame height."""
+def silhouette_top_contour(label: str) -> np.ndarray:
+    """Per-column top row (frame coordinates) of the canonical silhouette;
+    columns with no body are set to the frame height."""
+    w, h = WIDTH, HEIGHT
     cx = w // 2
     top = np.full(w, float(h))
 
@@ -273,11 +253,11 @@ def silhouette_top_contour(label: str, w: int, h: int) -> np.ndarray:
     return top
 
 
-@lru_cache(maxsize=4 * len(POSE_LABELS))
-def silhouette_mask(label: str, width: int, height: int) -> np.ndarray:
-    """Read-only mask of the canonical silhouette in a width x height frame;
-    rendering and the pose references share one copy per size."""
-    mask = np.arange(height)[:, None] >= silhouette_top_contour(label, width, height)[None, :]
+@lru_cache(maxsize=len(POSE_LABELS))
+def silhouette_mask(label: str) -> np.ndarray:
+    """Read-only mask of the canonical silhouette; rendering and the pose
+    references share one copy."""
+    mask = np.arange(HEIGHT)[:, None] >= silhouette_top_contour(label)[None, :]
     mask.flags.writeable = False
     return mask
 
@@ -288,13 +268,12 @@ def synthesize_body_frame(state_pose: str | None, scene: SceneConfig, rng: np.ra
     pixels = _to_pixels(_noisy_background(scene, rng))
     if state_pose is not None:
         # BODY_INTENSITY lies in [0, 255], so painting after the clip gives the same bytes
-        np.copyto(pixels, np.uint8(BODY_INTENSITY), where=silhouette_mask(state_pose, scene.width, scene.height))
+        np.copyto(pixels, np.uint8(BODY_INTENSITY), where=silhouette_mask(state_pose))
     return Frame(pixels)
 
 
-def build_pose_references(scene: SceneConfig | None = None) -> list[PoseReference]:
+def build_pose_references() -> list[PoseReference]:
     """Drape profiles of the canonical noiseless silhouettes, draped in one call."""
-    scene = scene or SceneConfig()
-    masks = np.stack([silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS])
+    masks = np.stack([silhouette_mask(label) for label in POSE_LABELS])
     profiles = drape(supports(masks))
     return [PoseReference(label, profile) for label, profile in zip(POSE_LABELS, profiles)]

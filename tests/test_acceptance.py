@@ -196,7 +196,7 @@ def test_criterion_6_vision_accuracy():
     from imime import body
 
     bg = body.train_background([viewer.synthesize_body_frame(None, scene, rng) for _ in range(10)])
-    refs = viewer.build_pose_references(scene)
+    refs = viewer.build_pose_references()
     pose_hits = 0
     for label in viewer.POSE_LABELS:
         frame = viewer.synthesize_body_frame(label, scene, rng)

@@ -409,11 +409,10 @@ def test_stacked_drape_rows_equal_lone_reference_drapes(stack, max_iters):
 
 
 def test_pose_references_equal_lone_reference_drapes():
-    scene = viewer.SceneConfig()
-    refs = viewer.build_pose_references(scene)
+    refs = viewer.build_pose_references()
     assert [r.label for r in refs] == list(viewer.POSE_LABELS)
     for ref in refs:
-        mask = viewer.silhouette_mask(ref.label, scene.width, scene.height)
+        mask = viewer.silhouette_mask(ref.label)
         assert ref.profile.tobytes() == reference_drape(mask).tobytes()
 
 

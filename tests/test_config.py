@@ -25,7 +25,7 @@ def test_defaults_without_file():
     assert cfg.learning.epsilon == 0.125
     assert cfg.learning.gamma == 0.9
     assert cfg.behavior.t_idle == 10.0
-    assert cfg.scene.width == 128
+    assert cfg.scene.noise_sigma == 2.0
     assert len(cfg.profile.routines) == 4
 
 
@@ -73,8 +73,6 @@ attending.mimic = 0.95
 beckon.notattending.beckon = 0.85
 
 [scene]
-width = 96
-height = 96
 noise_sigma = 0
 """,
     )
@@ -89,7 +87,7 @@ noise_sigma = 0
     # two-part key sets the whole action column, three-part key one cell
     assert cfg.profile.prob(Routine.Ponder, True, Routine.Mimic) == 0.95
     assert cfg.profile.prob(Routine.Beckon, False, Routine.Beckon) == 0.85
-    assert cfg.scene.width == 96 and cfg.scene.noise_sigma == 0.0
+    assert cfg.scene.noise_sigma == 0.0
 
 
 def test_bad_routine_name(tmp_path):
@@ -170,11 +168,9 @@ OUT_OF_RANGE = [
     ("episode", "frame_rate", "-10", "episode.frame_rate"),
     ("episode", "decision_period", "inf", "episode.decision_period"),
     ("episode", "dump_frames", "maybe", "episode.dump_frames"),
-    ("scene", "width", "8", "scene.width"),
-    ("scene", "face_ay", "0", "scene.face_ay"),
-    ("scene", "face_ax", "64", "scene.face_ax"),
     ("scene", "noise_sigma", "-2", "scene.noise_sigma"),
-    ("scene", "bg_intensity", "nan", "scene.bg_intensity"),
+    ("scene", "noise_sigma", "nan", "scene.noise_sigma"),
+    ("scene", "noise_sigma", "inf", "scene.noise_sigma"),
 ]
 
 
@@ -242,24 +238,25 @@ def test_output_names_up_to_the_name_limit_accepted(tmp_path):
         config.check_output_path("--out", os.path.join(tmp_path, "a" * (name_max + 1)), file=True)
 
 
+@pytest.mark.parametrize("mode", ["labels", "pixels"])
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_noise_level_set_after_loading_rejected(mode, sigma):
+    # checked with the other keys, so a value set on a loaded config is
+    # rejected too; pixel mode used to render it without noise
+    cfg = load_config(None, {"mode": mode, "steps": 10})
+    cfg.scene.noise_sigma = sigma
+    for check in (cfg.validate, lambda: harness.run_episode(cfg)):
+        with pytest.raises(ConfigError) as exc:
+            check()
+        assert exc.value.key == "scene.noise_sigma"
+
+
 def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
     # each of these alone was accepted and ran with exit 0; the first is named
     path = write(tmp_path, "[behavior]\nt_resp = -5\nr_lo = 0.5\nr_hi = 0.1\n[fusion]\nk_erratic = -3\ntau_jerk = nan\n")
     assert cli.main(["run", "--config", path, "--steps", "200", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("config error: behavior.t_resp:")
     assert not (tmp_path / "run").exists()
-
-
-@pytest.mark.parametrize("bg", ["130", "150", "255"])
-def test_background_as_bright_as_a_face_rejected_in_pixel_mode_only(tmp_path, capsys, bg):
-    # at or above the face detector's threshold the whole frame reads as one face
-    path = write(tmp_path, f"[scene]\nbg_intensity = {bg}\nnoise_sigma = 0\n")
-    argv = ["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]
-    assert cli.main(argv + ["--mode", "pixels"]) == 2
-    assert capsys.readouterr().err.startswith("config error: scene.bg_intensity:")
-    assert not (tmp_path / "run").exists()
-    # label mode renders no frames, so the value is harmless there
-    assert cli.main(argv) == 0
 
 
 @pytest.mark.parametrize("via", ["ini", "flag"])
@@ -276,15 +273,6 @@ def test_dump_frames_rejected_in_label_mode_only(tmp_path, capsys, via):
     assert len(list((tmp_path / "run" / "frames").glob("body_*.pgm"))) == 10
 
 
-def test_background_just_below_the_face_threshold_agrees_with_label_mode(tmp_path):
-    path = write(tmp_path, "[scene]\nbg_intensity = 129.9\nnoise_sigma = 0\n")
-    (labels, _), (pixels, _) = (
-        harness.run_episode(load_config(path, {"mode": mode, "steps": 200, "seed": 3})) for mode in ("labels", "pixels")
-    )
-    for column in ("attending", "orientation", "routine"):
-        assert [r[column] for r in labels.rows] == [r[column] for r in pixels.rows], column
-
-
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -294,6 +282,12 @@ def test_background_just_below_the_face_threshold_agrees_with_label_mode(tmp_pat
         ("[fusion]\nt_recent = 0\n", "fusion.t_recent"),
         ("[behavior]\nselectable = Reward\n", "behavior.selectable"),
         ("[scene]\nwidht = 64\n", "scene.widht"),
+        # the camera's geometry and background are constants in `viewer`
+        ("[scene]\nwidth = 128\n", "scene.width"),
+        ("[scene]\nheight = 128\n", "scene.height"),
+        ("[scene]\nface_ax = 24\n", "scene.face_ax"),
+        ("[scene]\nface_ay = 30\n", "scene.face_ay"),
+        ("[scene]\nbg_intensity = 60\n", "scene.bg_intensity"),
         ("[lerning]\ngamma = 0.5\n", "lerning"),
         ("[Episode]\nsteps = 5\n", "Episode"),
         ("[DEFAULT]\nsteps = 5\n", "DEFAULT.steps"),
@@ -375,12 +369,7 @@ _INI_VALUES = {
         "mimic.attending.mimic": _UNIT,
     },
     "scene": {
-        "width": (["128", "64", "17"], ["15", "0", "x"]),
-        "height": (["128", "72", "16"], ["-5"]),
-        "bg_intensity": (["60", "200", "300", "-1e9"], ["nan"]),
-        "noise_sigma": (["2", "0", "40"], ["-1", "inf"]),
-        "face_ax": (["7", "1"], ["0", "100"]),
-        "face_ay": (["7", "1"], ["-1", "100"]),
+        "noise_sigma": (["2", "0", "8", "40"], ["-1", "nan", "inf", "x"]),
     },
 }
 
@@ -495,7 +484,9 @@ def test_loader_keys_are_those_example_ini_lists():
             listed.add(f"{section}.{entry.group(1)}")  # commented keys too
     loaded = {f"{section}.{key}" for section, keys in config.SECTIONS.items() for key in keys}
     assert loaded == listed
-    assert len(loaded) == 28  # learning.max_sweeps became learning.MAX_SWEEPS
+    # learning.max_sweeps became learning.MAX_SWEEPS, and the scene's
+    # geometry and background constants in `viewer`
+    assert len(loaded) == 23
 
 
 def test_defaults_without_file_are_the_dataclass_defaults():

@@ -637,18 +637,17 @@ def test_largest_blob_bounds_families_reach_both_paths():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    scene=st.sampled_from([viewer.SceneConfig(), viewer.SceneConfig(width=64, height=72)]),
     noise=st.one_of(st.sampled_from([0.0, 0.5, 2.0, 8.0, 25.0]), st.floats(0.0, 80.0)),
     yaw=st.floats(-45.0, 45.0),
     dx=st.floats(-0.5, 0.5),
     dy=st.floats(-0.5, 0.5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_largest_blob_bounds_on_rendered_faces(scene, noise, yaw, dx, dy, seed):
+def test_largest_blob_bounds_on_rendered_faces(noise, yaw, dx, dy, seed):
     # the boxes `detect` labels: a shaded head whose eyes and mouth leave
     # holes, with noise specks around and inside it at any accepted sigma
-    scene = viewer.SceneConfig(width=scene.width, height=scene.height, noise_sigma=noise)
-    state = viewer.ViewerState(yaw=yaw, x=scene.width * (0.5 + dx), y=scene.height * (0.5 + dy))
+    scene = viewer.SceneConfig(noise_sigma=noise)
+    state = viewer.ViewerState(yaw=yaw, x=viewer.WIDTH * (0.5 + dx), y=viewer.HEIGHT * (0.5 + dy))
     mask = viewer.synthesize_face_frame(state, scene, np.random.default_rng(seed)).pixels >= face.FACE_THRESHOLD
     if mask.any():
         x0, x1, y0, y1 = face._bounds(mask)
@@ -862,15 +861,13 @@ _face_step = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(
     steps=st.lists(_face_step, min_size=1, max_size=14),
-    size=st.sampled_from([(128, 128), (64, 72)]),
     noise=st.sampled_from([0.0, 2.0]),
     seed=st.integers(0, 2**16),
 )
-def test_face_tracker_equals_reference_chain(steps, size, noise, seed):
-    width, height = size
-    scene = viewer.SceneConfig(width=width, height=height, noise_sigma=noise)
+def test_face_tracker_equals_reference_chain(steps, noise, seed):
+    scene = viewer.SceneConfig(noise_sigma=noise)
     rng = np.random.default_rng(seed)
-    blank = np.full((height, width), int(scene.bg_intensity), dtype=np.uint8)
+    blank = np.full((viewer.HEIGHT, viewer.WIDTH), int(viewer.BG_INTENSITY), dtype=np.uint8)
     ramp = blank.copy()
     ramp[20:60, 10:40] = 140 + 2 * np.arange(30)
     frames = []

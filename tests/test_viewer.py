@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import body, face, viewer
+from imime import body, face, harness, viewer
 from imime.behavior import Routine
 from imime.viewer import (
+    FACE_AX,
+    FACE_AY,
     FRONTAL_YAW,
+    HEIGHT,
     POSE_LABELS,
+    WIDTH,
     SceneConfig,
-    SceneError,
     UnknownPoseLabel,
     ViewerState,
     default_profile,
@@ -110,6 +114,27 @@ def test_frame_update_position_bounds_match_clip(x, y):
         want_y = float(np.clip(y + float(twin.normal(0.0, 0.3)), 40.0, 80.0))
         assert (state.x.hex(), state.y.hex()) == (want_x.hex(), want_y.hex())
         assert type(state.x) is float and type(state.y) is float
+
+
+def test_head_ellipse_stays_in_frame():
+    # the extremes `frame_update` reaches: the clamp, then a burst step of
+    # BURST_AMPLITUDE either way (x 37..91, y 40..80); the whole ellipse box
+    # lies inside the frame there, so the detector sees all of the head and
+    # label mode's face-area ratio is the one pixel mode measures
+    reached = []
+    for x, y, phase in itertools.product((-1e9, 1e9), (-1e9, 1e9), (0, 1)):
+        state = ViewerState(x=x, y=y, burst_left=1, burst_phase=phase)
+        frame_update(state, None, np.random.default_rng(0), 0.9)
+        reached.append((round(state.x), round(state.y)))
+    xs, ys = [x for x, _ in reached], [y for _, y in reached]
+    assert 0 <= min(xs) - FACE_AX and max(xs) + FACE_AX < WIDTH
+    assert 0 <= min(ys) - FACE_AY and max(ys) + FACE_AY < HEIGHT
+    for x, y in itertools.product((min(xs), max(xs)), (min(ys), max(ys))):
+        for yaw in (-45.0, 0.0, 45.0):
+            frame = synthesize_face_frame(ViewerState(yaw=yaw, x=x, y=y), quiet_scene(), np.random.default_rng(0))
+            rect = face.BrightnessBlobDetector().detect(frame)
+            assert (rect.x, rect.y, rect.w, rect.h) == (x - FACE_AX, y - FACE_AY, 2 * FACE_AX + 1, 2 * FACE_AY + 1)
+            assert rect.w * rect.h / (frame.width * frame.height) == harness.LABEL_FACE_RATIO
 
 
 def test_frame_update_compliant_gesture_after_delay():
@@ -292,8 +317,8 @@ def test_face_frame_truth_rect_contains_detection():
     frame = synthesize_face_frame(state, scene, rng)
     rect = face.BrightnessBlobDetector().detect(frame)
     # the head ellipse's bounding box
-    tx, ty = round(state.x) - scene.face_ax, round(state.y) - scene.face_ay
-    tw, th = 2 * scene.face_ax + 1, 2 * scene.face_ay + 1
+    tx, ty = round(state.x) - FACE_AX, round(state.y) - FACE_AY
+    tw, th = 2 * FACE_AX + 1, 2 * FACE_AY + 1
     assert tx - 1 <= rect.x and ty - 1 <= rect.y
     assert rect.x + rect.w <= tx + tw + 1 and rect.y + rect.h <= ty + th + 1
 
@@ -304,43 +329,14 @@ def test_face_synthesis_deterministic_without_noise():
     assert np.array_equal(a.pixels, b.pixels)
 
 
-def test_scene_config_face_must_fit():
-    with pytest.raises(ValueError):
-        SceneConfig(width=40, height=40, face_ax=24, face_ay=30)
-
-
-@pytest.mark.parametrize(
-    "fields, key",
-    [
-        ({"width": 15}, "width"),
-        ({"height": 0, "face_ay": 1}, "height"),
-        ({"face_ax": 0}, "face_ax"),
-        ({"face_ay": -3}, "face_ay"),
-        ({"width": 48}, "face_ax"),  # 2 * 24 + 1 > 48
-        ({"bg_intensity": float("nan")}, "bg_intensity"),
-        ({"noise_sigma": -1.0}, "noise_sigma"),
-        ({"noise_sigma": float("inf")}, "noise_sigma"),
-    ],
-)
-def test_scene_config_names_the_bad_field(fields, key):
-    with pytest.raises(SceneError) as info:
-        SceneConfig(**fields)
-    assert info.value.key == key
-
-
-def test_scene_config_smallest_scene_accepted():
-    SceneConfig(width=16, height=16, face_ax=1, face_ay=7, noise_sigma=0.0)
-
-
 def reference_synthesize_face_frame(state, scene, rng):
     """`viewer.synthesize_face_frame` drawn over the whole frame."""
-    h, w = scene.height, scene.width
-    img = np.full((h, w), scene.bg_intensity)
+    img = np.full((HEIGHT, WIDTH), viewer.BG_INTENSITY)
     if scene.noise_sigma > 0:
-        img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
+        img += rng.normal(0.0, scene.noise_sigma, size=(HEIGHT, WIDTH))
     cx, cy = round(state.x), round(state.y)
-    ax, ay = scene.face_ax, scene.face_ay
-    ys, xs = np.mgrid[0:h, 0:w]
+    ax, ay = FACE_AX, FACE_AY
+    ys, xs = np.mgrid[0:HEIGHT, 0:WIDTH]
     inside = ((xs - cx) / ax) ** 2 + ((ys - cy) / ay) ** 2 <= 1.0
     img[inside] = viewer.FACE_INTENSITY
     slope = viewer.SHADE_SLOPE_AT_45 * state.yaw / 45.0
@@ -370,25 +366,16 @@ def _head_position(draw, side, semi):
     return edge + draw(st.floats(-semi - 1.5, semi + 1.5))
 
 
-@st.composite
-def _face_case(draw):
-    w, h = draw(st.sampled_from([(128, 128), (64, 72), (16, 16), (40, 96), (97, 33), (140, 17)]))
-    ax, ay = draw(st.integers(1, (w - 1) // 2)), draw(st.integers(1, (h - 1) // 2))
-    x, y = draw(_head_position(w, ax)), draw(_head_position(h, ay))
-    return w, h, ax, ay, x, y
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     yaw=st.one_of(st.floats(-45.0, 45.0), st.sampled_from([0.0, -0.0, 22.5, -45.0, 45.0, 90.0])),
-    case=_face_case(),
+    x=_head_position(WIDTH, FACE_AX),
+    y=_head_position(HEIGHT, FACE_AY),
     noise=st.sampled_from([0.0, 2.0, 25.0]),
-    bg=st.sampled_from([60.0, -40.0, 300.0, 129.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_face_frame_bit_identical_to_reference(yaw, case, noise, bg, seed):
-    w, h, ax, ay, x, y = case
-    scene = SceneConfig(width=w, height=h, face_ax=ax, face_ay=ay, noise_sigma=noise, bg_intensity=bg)
+def test_face_frame_bit_identical_to_reference(yaw, x, y, noise, seed):
+    scene = SceneConfig(noise_sigma=noise)
     state = ViewerState(yaw=yaw, x=x, y=y)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     frame = synthesize_face_frame(state, scene, rng)
@@ -398,8 +385,8 @@ def test_face_frame_bit_identical_to_reference(yaw, case, noise, bg, seed):
 
 
 def test_face_frame_clipped_at_every_edge():
-    scene = SceneConfig(width=64, height=72, noise_sigma=0.0)
-    for x, y in [(0.0, 36.0), (63.0, 36.0), (32.0, 0.0), (32.0, 71.0), (-20.0, -25.0), (90.0, 100.0), (-60.0, 36.0)]:
+    scene = SceneConfig(noise_sigma=0.0)
+    for x, y in [(0.0, 64.0), (127.0, 64.0), (64.0, 0.0), (64.0, 127.0), (-20.0, -25.0), (150.0, 155.0), (-60.0, 64.0)]:
         state = ViewerState(yaw=20.0, x=x, y=y)
         frame = synthesize_face_frame(state, scene, np.random.default_rng(0))
         want = reference_synthesize_face_frame(state, scene, np.random.default_rng(0))
@@ -409,56 +396,44 @@ def test_face_frame_clipped_at_every_edge():
 @settings(max_examples=100, deadline=None)
 @given(
     sigma=st.one_of(st.sampled_from([0.5, 2.0, 8.0, 25.0]), st.floats(1e-3, 1e3)),
-    bg=st.floats(-300.0, 300.0),
-    size=st.sampled_from([(128, 128, 24, 30), (64, 72, 24, 30), (16, 16, 1, 7)]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_noisy_background_equals_normal_draw(sigma, bg, size, seed):
+def test_noisy_background_equals_normal_draw(sigma, seed):
     # scaled standard normals are `rng.normal(0.0, sigma)`'s bytes, and leave
     # the generator where it leaves it
-    w, h, ax, ay = size
-    scene = SceneConfig(width=w, height=h, face_ax=ax, face_ay=ay, noise_sigma=sigma, bg_intensity=bg)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-    img = viewer._noisy_background(scene, rng)
-    want = twin.normal(0.0, sigma, size=(h, w))
-    want += bg
+    img = viewer._noisy_background(SceneConfig(noise_sigma=sigma), rng)
+    want = twin.normal(0.0, sigma, size=(HEIGHT, WIDTH))
+    want += viewer.BG_INTENSITY
     assert img.tobytes() == want.tobytes()
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 # --- rendered frame bytes -----------------------------------------------------------
 
-# SHA-256 over the shape and bytes of every face and body frame rendered on
-# a seeded grid of scenes (clipped heads, backgrounds below 0 and above 255),
-# noise levels, head positions, yaws and poses; recorded before the
-# renderer's per-frame array passes were cut.
-FRAME_BYTES_DIGEST = "73780acb44e4efb5effd711d9d0b402571e56a35834b3d03acdd48b0ead00514"
-PIN_SCENES = [
-    SceneConfig(),
-    SceneConfig(width=64, height=72),
-    SceneConfig(width=16, height=16, face_ax=1, face_ay=7),
-    SceneConfig(width=97, height=33, face_ax=20, face_ay=10, bg_intensity=-30.0),
-    SceneConfig(width=40, height=96, face_ax=12, face_ay=40, bg_intensity=290.0),
-]
+# SHA-256 over the shape and bytes of every face and body frame rendered at
+# a seeded grid of noise levels, head positions (clipped heads too), yaws
+# and poses; recorded with the renderer of the last commit whose scene
+# geometry was configurable, over its default 128x128 scene.
+FRAME_BYTES_DIGEST = "170bc3d5133e7dab7e43b9cd055a7088e738128d7d644a7f22b1708440b1d7c4"
 
 
 def test_rendered_frame_bytes_unchanged():
     plan = np.random.default_rng(15)
     h = hashlib.sha256()
-    for base in PIN_SCENES:
-        for noise in (0.0, 2.0, 25.0):
-            scene = replace(base, noise_sigma=noise)
-            rng = np.random.default_rng(plan.integers(2**32))
-            for pose in (None, *POSE_LABELS) * 3:
-                x = float(plan.uniform(-0.5, 1.5) * scene.width)
-                y = float(plan.uniform(-0.5, 1.5) * scene.height)
-                yaw = float(plan.choice([0.0, plan.uniform(-45.0, 45.0), 90.0]))
-                for frame in (
-                    synthesize_face_frame(ViewerState(yaw=yaw, x=x, y=y), scene, rng),
-                    synthesize_body_frame(pose, scene, rng),
-                ):
-                    h.update(repr(frame.pixels.shape).encode())
-                    h.update(frame.pixels.tobytes())
+    for noise in (0.0, 2.0, 25.0):
+        scene = SceneConfig(noise_sigma=noise)
+        rng = np.random.default_rng(plan.integers(2**32))
+        for pose in (None, *POSE_LABELS) * 3:
+            x = float(plan.uniform(-0.5, 1.5) * WIDTH)
+            y = float(plan.uniform(-0.5, 1.5) * HEIGHT)
+            yaw = float(plan.choice([0.0, plan.uniform(-45.0, 45.0), 90.0]))
+            for frame in (
+                synthesize_face_frame(ViewerState(yaw=yaw, x=x, y=y), scene, rng),
+                synthesize_body_frame(pose, scene, rng),
+            ):
+                h.update(repr(frame.pixels.shape).encode())
+                h.update(frame.pixels.tobytes())
     assert h.hexdigest() == FRAME_BYTES_DIGEST
 
 
@@ -466,13 +441,12 @@ def test_rendered_frame_bytes_unchanged():
 
 
 def test_silhouette_labels_complete_and_distinct():
-    scene = SceneConfig()
-    masks = [silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS]
+    masks = [silhouette_mask(label) for label in POSE_LABELS]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             assert (masks[i] != masks[j]).any()
     with pytest.raises(UnknownPoseLabel):
-        silhouette_mask("Handstand", scene.width, scene.height)
+        silhouette_mask("Handstand")
 
 
 def test_pose_references_are_separable():
@@ -487,7 +461,7 @@ def test_noisy_silhouettes_classify_correctly():
     scene = SceneConfig()  # default noise sigma 2
     rng = np.random.default_rng(31)
     bg = body.train_background([synthesize_body_frame(None, scene, rng) for _ in range(10)])
-    refs = viewer.build_pose_references(scene)
+    refs = viewer.build_pose_references()
     for label in POSE_LABELS:
         frame = synthesize_body_frame(label, scene, rng)
         mask = body.segment_foreground(bg, frame)
@@ -499,12 +473,11 @@ def reference_synthesize_body_frame(state_pose, scene, rng):
     """`viewer.synthesize_body_frame` with the noise added to a full
     background, the silhouette built afresh and painted by boolean index
     before the clip."""
-    h, w = scene.height, scene.width
-    img = np.full((h, w), scene.bg_intensity)
+    img = np.full((HEIGHT, WIDTH), viewer.BG_INTENSITY)
     if scene.noise_sigma > 0:
-        img += rng.normal(0.0, scene.noise_sigma, size=(h, w))
+        img += rng.normal(0.0, scene.noise_sigma, size=(HEIGHT, WIDTH))
     if state_pose is not None:
-        mask = np.arange(h)[:, None] >= viewer.silhouette_top_contour(state_pose, w, h)[None, :]
+        mask = np.arange(HEIGHT)[:, None] >= viewer.silhouette_top_contour(state_pose)[None, :]
         img[mask] = viewer.BODY_INTENSITY
     return np.clip(img, 0, 255).astype(np.uint8)
 
@@ -512,14 +485,11 @@ def reference_synthesize_body_frame(state_pose, scene, rng):
 @settings(max_examples=300, deadline=None)
 @given(
     pose=st.sampled_from([None, *POSE_LABELS]),
-    w=st.integers(16, 140),
-    h=st.integers(16, 140),
     noise=st.one_of(st.just(0.0), st.sampled_from([2.0, 25.0]), st.floats(1e-3, 80.0)),
-    bg=st.one_of(st.sampled_from([60.0, -40.0, 300.0, 0.0, 255.0]), st.floats(-100.0, 400.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_body_frame_bit_identical_to_reference(pose, w, h, noise, bg, seed):
-    scene = SceneConfig(width=w, height=h, face_ax=1, face_ay=1, noise_sigma=noise, bg_intensity=bg)
+def test_body_frame_bit_identical_to_reference(pose, noise, seed):
+    scene = SceneConfig(noise_sigma=noise)
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     frame = synthesize_body_frame(pose, scene, rng)
     want = reference_synthesize_body_frame(pose, scene, twin)
@@ -530,16 +500,15 @@ def test_body_frame_bit_identical_to_reference(pose, w, h, noise, bg, seed):
 def test_kept_geometry_is_read_only():
     # the silhouette and ellipse masks are shared across frames and
     # episodes, so no caller may write through them
-    scene = SceneConfig()
-    silhouettes = [silhouette_mask(label, scene.width, scene.height) for label in POSE_LABELS]
-    for mask in [*silhouettes, viewer._ellipse(24, 30), viewer._EYE]:
+    silhouettes = [silhouette_mask(label) for label in POSE_LABELS]
+    for mask in [*silhouettes, viewer._ELLIPSE, viewer._EYE]:
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0] = True
-    assert silhouette_mask("Wave", scene.width, scene.height) is silhouette_mask("Wave", 128, 128)
+    assert silhouette_mask("Wave") is silhouette_mask("Wave")
 
 
 def test_body_frame_without_pose_is_background():
     scene = SceneConfig(noise_sigma=0.0)
     frame = synthesize_body_frame(None, scene, np.random.default_rng(1))
-    assert np.all(frame.pixels == scene.bg_intensity)
+    assert np.all(frame.pixels == viewer.BG_INTENSITY)
