@@ -109,7 +109,8 @@ def run_episode(cfg: EpisodeConfig):
         frames_dir = os.path.join(cfg.out_dir, "frames")
         os.makedirs(frames_dir, exist_ok=True)
 
-    label_jerk_window: deque[tuple[float, float]] = deque(maxlen=5)
+    # label mode takes jerk over the head positions the renderer draws
+    label_jerk_window: deque[tuple[int, int]] = deque(maxlen=5)
 
     # the scheduler consults the policy only on decision ticks, in the state
     # of that tick; a decision counts as explored only when the policy was
@@ -130,7 +131,7 @@ def run_episode(cfg: EpisodeConfig):
 
         # 2. perception: both modes give the same cues, fused here
         if pipeline is None:
-            label_jerk_window.append((vstate.x, vstate.y))
+            label_jerk_window.append((round(vstate.x), round(vstate.y)))
             cues = viewer.true_orientation(vstate.yaw), face.estimate_jerk(label_jerk_window), vstate.pose, LABEL_FACE_RATIO
         else:
             face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)

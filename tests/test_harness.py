@@ -23,7 +23,7 @@ from imime.viewer import ViewerProfile, default_profile
 # SHA-256 of the per-frame log of a fixed reference episode (label mode,
 # 200 frames, seed 7, all defaults). Any change to the RNG stream order,
 # log schema, or loop structure shows up here first.
-GOLDEN_DIGEST = "20cc033f35226a0ca6f95ff1f42538ef6cd0f14060058f3c9cc65f79d0e36a07"
+GOLDEN_DIGEST = "90503115b3120e85b35004a3c09fb83e53d7c4523c567ee4e72d9a6296472d9d"
 
 
 def log_digest(log: harness.EpisodeLog) -> str:
@@ -92,7 +92,7 @@ def test_label_mode_jerk_equals_array_form(monkeypatch):
 
     def recording_frame_update(state, *args, **kwargs):
         frame_update(state, *args, **kwargs)
-        positions.append((state.x, state.y))
+        positions.append((round(state.x), round(state.y)))  # the drawn head position
 
     def recording_evaluate(self, orientation_label, jerk, gesture):
         jerks.append(jerk)
@@ -169,17 +169,17 @@ def test_pixel_episode_files_unchanged(tmp_path, capsys, seed, erratic_rate, dig
 
 
 # SHA-256 of the four CSVs of 300-frame label runs through `imime run`
-# (seed 3), recorded before the learner's table dump moved into the harness:
-# defaults, erratic bursts, a three-part [p_star] key that changes the
+# (seed 3), recorded when label mode's jerk moved to the drawn head
+# positions: defaults, erratic bursts, a three-part [p_star] key that changes the
 # oracle's action in the first state, and the uniform-random baseline
 LABEL_EPISODE_DIGESTS = [
-    ("", "75b19f531bc14641d360b5cff2d1811c81815592a3a0fa4fafb2ff87fb300950"),
-    ("[profile]\nerratic_rate = 0.15\n", "b058c2dcfb26bc732fdfbc7ec3ab519e3e02362d649a3a04c2f78a6b8990c3b6"),
-    ("[p_star]\nbeckon.notattending.mimic = 0.95\n", "71a278606ce56c2588981cce38da4371c4de0ccb269bdd42134512d257dd62c8"),
-    ("[learning]\nrandom_policy = yes\n", "eaf399e92b1fdd7027f89b7dd3c65442ed093061f90271e8b51489b316d884dd"),
+    ("", "ee01fc5cad06b1f25fe6630b2fc45d7b03c71c324a53f699e2cc5af7339f7c07"),
+    ("[profile]\nerratic_rate = 0.15\n", "b67f70f24fcc356877f50d0cc0be6bf570600add86c2b823edc0639704f8ec8e"),
+    ("[p_star]\nbeckon.notattending.mimic = 0.95\n", "f2d2826f140fb441659bd59f588f4d59af64ae82afc5803210ea3aedd2451eb7"),
+    ("[learning]\nrandom_policy = yes\n", "7073871352bef0dcc305dd326f6bc8ec1c0a979ca26ff8b175d219ec036ab74d"),
     # one and two routines: the learner's cold start is one class of states
-    ("[profile]\nroutines = Mimic\n", "d0ff3f06d554121c024c3d27f0c5c2026450f1c6471fbce6874f44a937bac3a7"),
-    ("[profile]\nroutines = Mimic, Beckon\n", "0b757b4e73d0a8405e61ed9c8ca35b13aac17a6cf0043587ad0b710b6cfc6f16"),
+    ("[profile]\nroutines = Mimic\n", "77de20642fbbc5d8b28c5301623c41fe72ebe03ba29b67b00190b196d6ead8a3"),
+    ("[profile]\nroutines = Mimic, Beckon\n", "a360408a6e2f1084357bf03dd9f84af3a02bc132f37d46277c525e4271b821de"),
 ]
 
 

@@ -94,7 +94,7 @@ def test_frame_update_burst_produces_jerk_above_threshold():
     track, jerks = [], []
     for _ in range(20):
         frame_update(state, None, rng, 0.9)
-        track.append((state.x, state.y))
+        track.append((round(state.x), round(state.y)))
         jerks.append(face.estimate_jerk(track))
     assert max(jerks[:10]) > 12.0
     assert max(jerks[14:]) < 12.0
