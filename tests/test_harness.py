@@ -124,16 +124,26 @@ def test_cues_are_fused_once_per_frame(monkeypatch, mode):
     assert [(r["orientation"], r["jerk"]) for r in log.rows] == [(o or "NoFace", round(j, 6)) for o, j in cues]
 
 
-@pytest.mark.parametrize("seed", [3, 7, 11])
-def test_label_and_pixel_modes_agree_without_vision_noise(seed):
-    common = dict(steps=300, seed=seed)
-    cfg_l, log_l, _ = run(mode="labels", **common)
-    assert cfg_l.profile.erratic_rate == 0.0
-    cfg_p = load_config(None, {"mode": "pixels", **common})
-    cfg_p.scene.noise_sigma = 0.0
-    log_p, _ = harness.run_episode(cfg_p)
-    for column in ("attending", "routine"):
-        assert [r[column] for r in log_l.rows] == [r[column] for r in log_p.rows], column
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    erratic_rate=st.floats(0.0, 1.0),
+    noise=st.sampled_from([0.0, 2.0, 8.0]),
+)
+@example(seed=3, erratic_rate=0.15, noise=2.0)
+def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
+    # up to sensor noise 8 the vision stack recovers the viewer's orientation,
+    # drawn head position and pose on every frame, so the two modes log the
+    # same rows; the game prompts after 1 s, so gestures are drawn too
+    rows = []
+    for mode in ("labels", "pixels"):
+        cfg = load_config(None, {"mode": mode, "steps": 300, "seed": seed})
+        cfg.profile.erratic_rate = erratic_rate
+        cfg.scene.noise_sigma = noise
+        cfg.behavior.t_idle = cfg.behavior.t_ponder = 1.0
+        rows.append(harness.run_episode(cfg)[0].rows)
+    assert list(rows[0][0]) == harness.LOG_FIELDS
+    assert rows[1] == rows[0]
 
 
 # SHA-256 over episode.csv, transitions.csv, learning.csv and metrics.csv of
