@@ -132,7 +132,8 @@ def run_episode(cfg: EpisodeConfig):
         # 2. perception: both modes give the same cues, fused here
         if pipeline is None:
             label_jerk_window.append((round(vstate.x), round(vstate.y)))
-            cues = viewer.true_orientation(vstate.yaw), face.estimate_jerk(label_jerk_window), vstate.pose, LABEL_FACE_RATIO
+            orientation = viewer.true_orientation(vstate.yaw)
+            cues = orientation, face.estimate_jerk(label_jerk_window), vstate.pose, LABEL_FACE_RATIO
         else:
             face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
             body_frame = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)
