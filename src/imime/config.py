@@ -88,9 +88,11 @@ class EpisodeConfig:
         if not (math.isfinite(self.frame_rate) and self.frame_rate > 0.0):
             raise ConfigError("episode.frame_rate", f"must be > 0 and finite (got {self.frame_rate})")
         _ = self.frames_per_decision
+        # one standard deviation past the whole intensity range already turns
+        # every frame into clipped noise; far larger values overflow the draws
         sigma = self.scene.noise_sigma
-        if not (math.isfinite(sigma) and sigma >= 0.0):
-            raise ConfigError("scene.noise_sigma", f"must be >= 0 and finite (got {sigma})")
+        if not 0.0 <= sigma <= 255.0:
+            raise ConfigError("scene.noise_sigma", f"must be in [0, 255] (got {sigma})")
         learning, profile = self.learning, self.profile
         # `not` around each range keeps NaN out too
         if not 0.0 <= learning.gamma < 1.0:

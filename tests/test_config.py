@@ -6,6 +6,7 @@ import io
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,8 @@ OUT_OF_RANGE = [
     ("scene", "noise_sigma", "-2", "scene.noise_sigma"),
     ("scene", "noise_sigma", "nan", "scene.noise_sigma"),
     ("scene", "noise_sigma", "inf", "scene.noise_sigma"),
+    ("scene", "noise_sigma", "256", "scene.noise_sigma"),
+    ("scene", "noise_sigma", "1e308", "scene.noise_sigma"),  # overflowed the noise draws
 ]
 
 
@@ -239,7 +242,7 @@ def test_output_names_up_to_the_name_limit_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["labels", "pixels"])
-@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), 1e308])
 def test_noise_level_set_after_loading_rejected(mode, sigma):
     # checked with the other keys, so a value set on a loaded config is
     # rejected too; pixel mode used to render it without noise
@@ -249,6 +252,16 @@ def test_noise_level_set_after_loading_rejected(mode, sigma):
         with pytest.raises(ConfigError) as exc:
             check()
         assert exc.value.key == "scene.noise_sigma"
+
+
+def test_largest_noise_level_runs_without_warnings(tmp_path, capsys):
+    # 255 clips nearly every pixel to 0 or 255; 1e308 used to overflow the
+    # draws with a RuntimeWarning and run on anyway
+    path = write(tmp_path, "[scene]\nnoise_sigma = 255\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", path, "--mode", "pixels", "--steps", "40", "--out", str(tmp_path / "run")])
+    assert code == 0, capsys.readouterr().err
 
 
 def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
@@ -369,7 +382,7 @@ _INI_VALUES = {
         "mimic.attending.mimic": _UNIT,
     },
     "scene": {
-        "noise_sigma": (["2", "0", "8", "40"], ["-1", "nan", "inf", "x"]),
+        "noise_sigma": (["2", "0", "8", "40"], ["-1", "nan", "inf", "256", "x"]),
     },
 }
 

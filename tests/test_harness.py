@@ -146,13 +146,28 @@ def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
     assert rows[1] == rows[0]
 
 
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_label_and_pixel_modes_agree_without_vision_noise(seed):
+    # the default game and viewer, only the sensor noise taken out
+    common = dict(steps=300, seed=seed)
+    cfg_l, log_l, _ = run(mode="labels", **common)
+    assert cfg_l.profile.erratic_rate == 0.0
+    cfg_p = load_config(None, {"mode": "pixels", **common})
+    cfg_p.scene.noise_sigma = 0.0
+    log_p, _ = harness.run_episode(cfg_p)
+    assert log_p.rows == log_l.rows
+
+
 # SHA-256 over episode.csv, transitions.csv, learning.csv and metrics.csv of
-# short pixel episodes, recorded before the pixel path was optimised
+# short pixel episodes, recorded before the pixel path was optimised; seed 5
+# was pinned on a 64x72 scene before the camera was fixed and is pinned on
+# the fixed camera with the code of that time
 PIXEL_EPISODE_DIGESTS = [
     (3, 0.0, "4701ee7b4ffde3315b63d2f5c7b265204818c1b81b5cbf256ded9d6c781344af"),
     (3, 0.15, "b57c92c843cb046571805e6cff741e56e45782a5334c667ce472ec7376bb710f"),
     (11, 0.0, "f109063a8aa4b777fb128d6f6b160e5c04eedb24312e5411d66674248e8c1d2b"),
     (11, 0.15, "d073c256a6e10cdfea36a18f6cf9b805c1aef5d9b730fccba3412816d4a39a69"),
+    (5, 0.15, "e7eb32e8676884d6957c840c0cc4758723728e86183e41320831bcc3fe6c7794"),
 ]
 
 
@@ -227,6 +242,7 @@ def test_pixel_episodes_back_to_back_match_fresh_runs(tmp_path, capsys):
     [
         ("", 200, False),
         ("[scene]\nnoise_sigma = 0\n", 200, False),
+        ("[scene]\nnoise_sigma = 2\n", 300, False),
         ("[scene]\nnoise_sigma = 8\n", 300, True),
         ("[scene]\nnoise_sigma = 25\n", 300, True),
     ],
@@ -696,15 +712,16 @@ def test_cli_analyze_output_unchanged(tmp_path, capsys):
     assert hashlib.sha256((out / "frames" / "analysis.csv").read_bytes()).hexdigest() == ANALYSIS_DIGEST
 
 
+@pytest.mark.parametrize("erratic_rate", [0.15, 0.0])
 @pytest.mark.parametrize("noise", [0, 2, 8])
 @pytest.mark.parametrize("seed", [3, 8, 11])
-def test_analyze_replays_the_live_face_cues(tmp_path, capsys, seed, noise):
+def test_analyze_replays_the_live_face_cues(tmp_path, capsys, seed, noise, erratic_rate):
     # stored frames give the orientation and jerk the closed loop acted on;
     # analysis.csv keeps 4 decimals of jerk, episode.csv 6
     out = tmp_path / "px"
     ini = tmp_path / "px.ini"
     ini.write_text(
-        f"[episode]\nmode = pixels\nsteps = 100\nseed = {seed}\nout = {out}\n[profile]\nerratic_rate = 0.15\n"
+        f"[episode]\nmode = pixels\nsteps = 100\nseed = {seed}\nout = {out}\n[profile]\nerratic_rate = {erratic_rate}\n"
         f"[scene]\nnoise_sigma = {noise}\n"
     )
     assert cli.main(["run", "--config", str(ini), "--dump-frames"]) == 0
