@@ -1,8 +1,15 @@
-"""Per-tick fusion of vision outputs into a discrete attention assessment."""
+"""Per-tick fusion of the three perception cues (orientation, jerk,
+gesture) into a discrete attention assessment. The erratic-motion
+thresholds are calibrated against `viewer.BURST_AMPLITUDE`, whose
+alternating burst has a 4th difference of 24 px, so they are module
+constants, read at call time."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+TAU_JERK = 12.0  # 4th-difference units
+K_ERRATIC = 3  # consecutive frames above TAU_JERK
 
 
 @dataclass(frozen=True)
@@ -17,19 +24,12 @@ class AttentionState:
             raise ValueError("attending requires a visible face")
 
 
-@dataclass
-class FusionConfig:
-    tau_jerk: float = 12.0  # 4th-difference units
-    k_erratic: int = 3  # consecutive frames above tau_jerk
-
-
-@dataclass
 class AttentionEvaluator:
     """Stateful fusion: owns the consecutive-jerk counter. Single-threaded
     per interaction loop."""
 
-    cfg: FusionConfig = field(default_factory=FusionConfig)
-    _jerk_streak: int = field(default=0, init=False)
+    def __init__(self):
+        self._jerk_streak = 0
 
     def evaluate(
         self,
@@ -40,11 +40,11 @@ class AttentionEvaluator:
         face_present = orientation_label is not None
         attending = face_present and orientation_label == "Frontal"
 
-        if jerk > self.cfg.tau_jerk:
+        if jerk > TAU_JERK:
             self._jerk_streak += 1
         else:
             self._jerk_streak = 0
-        erratic = self._jerk_streak >= self.cfg.k_erratic
+        erratic = self._jerk_streak >= K_ERRATIC
 
         gesture_seen = gesture is not None and gesture != "Unknown" and gesture != "ArmsDown"
         return AttentionState(

@@ -1,6 +1,11 @@
 """The mime's behavior layer: routine repertoire, reflex rules, the
 Simon-Says game, and the 2-second/50% decision scheduler.
 
+The reflexes read the attention assessment alone: erratic motion shows
+Puzzled, a lost face an idle routine, a new face Beckon. DistanceGuide is
+in the repertoire for the policy to pick; no reflex shows it, because the
+fixed camera sees the head at one size.
+
 Arbitration is strict per frame: reflex > game > scheduler/policy, and at
 most one routine change happens per frame. The policy-selected routine is
 tracked separately from the displayed routine so reflex/game overrides do
@@ -39,8 +44,6 @@ class BehaviorConfig:
     t_ponder: float = 2.0
     t_resp: float = 5.0  # seconds the viewer has to mimic
     t_feedback: float = 2.0  # Reward/Scold duration
-    r_lo: float = 0.02  # face area / frame area bounds (distance proxy)
-    r_hi: float = 0.30
 
 
 @dataclass
@@ -76,7 +79,6 @@ class BehaviorEngine:
     def reflex_step(
         self,
         attention: AttentionState,
-        face_area_ratio: float,
         rng: np.random.Generator,
     ) -> Routine | None:
         """Highest-priority contingent responses; None hands control down."""
@@ -89,8 +91,6 @@ class BehaviorEngine:
             return st.current  # stay in the chosen idle routine
         if not st.face_was_present:
             return Routine.Beckon
-        if not (self.cfg.r_lo <= face_area_ratio <= self.cfg.r_hi):
-            return Routine.DistanceGuide
         return None
 
     # --- Simon-Says game ---------------------------------------------------
@@ -150,7 +150,6 @@ class BehaviorEngine:
     def frame_step(
         self,
         attention: AttentionState,
-        face_area_ratio: float,
         tick: int,
         rng: np.random.Generator,
         policy_fn=None,
@@ -163,7 +162,7 @@ class BehaviorEngine:
         if tick < st.override_until:
             new, cause = st.current, "game"  # Reward/Scold hold for their duration
         else:
-            reflex = self.reflex_step(attention, face_area_ratio, rng)
+            reflex = self.reflex_step(attention, rng)
             if reflex is not None:
                 new, cause = reflex, "reflex"
             else:

@@ -16,6 +16,15 @@ from .config import ConfigError, check_output_path, load_config
 from .frames import read_pgm
 
 
+def _check_not_input(out: str, inputs) -> None:
+    """Raise a ConfigError naming --out if it is one of the files a command
+    reads: writing it would truncate that input before it is read."""
+    if os.path.exists(out):
+        for path in inputs:
+            if os.path.samefile(out, path):
+                raise ConfigError("--out", f"would overwrite the input {path}")
+
+
 def _cmd_run(args) -> int:
     overrides = {
         "seed": args.seed,
@@ -51,13 +60,15 @@ def _cmd_analyze(args) -> int:
         raise ConfigError("--frames", f"no face_*.pgm frames in {args.frames}")
     out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
     check_output_path("--out", out_path, file=True)
+    paths = [os.path.join(args.frames, name) for name in names]
+    _check_not_input(out_path, paths)
     faces = face.FaceTracker()
     prev_frame = None
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["frame", "face", "symmetry", "edge_offset", "orientation", "jerk", "motion", "expression"])
-        for name in names:
-            frame = read_pgm(os.path.join(args.frames, name))
+        for name, path in zip(names, paths):
+            frame = read_pgm(path)
             cues = faces.observe(frame)
             if cues is None:
                 writer.writerow([name, 0, "", "", "NoFace", "", "", ""])
@@ -90,6 +101,7 @@ def _cmd_plot(args) -> int:
             args.out = args.out[:-4] + ".csv"
             print("matplotlib unavailable, degrading to CSV", file=sys.stderr)
     check_output_path("--out", args.out, file=True)
+    _check_not_input(args.out, [args.log])
     rewards = []
     with open(args.log, newline="") as f:
         for row in csv.DictReader(f):

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import FusionConfig
 from .behavior import BehaviorConfig, Routine
 from .learning import MAX_SWEEPS, PolicyConfig
 from .viewer import SceneConfig, ViewerProfile, default_profile
@@ -59,7 +58,6 @@ class EpisodeConfig:
     dump_frames: bool = False
     learning: PolicyConfig = field(default_factory=PolicyConfig)
     behavior: BehaviorConfig = field(default_factory=BehaviorConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     profile: ViewerProfile = field(default_factory=default_profile)
     scene: SceneConfig = field(default_factory=SceneConfig)
 
@@ -93,7 +91,7 @@ class EpisodeConfig:
         sigma = self.scene.noise_sigma
         if not 0.0 <= sigma <= 255.0:
             raise ConfigError("scene.noise_sigma", f"must be in [0, 255] (got {sigma})")
-        learning, profile = self.learning, self.profile
+        learning, profile, behavior = self.learning, self.profile, self.behavior
         # `not` around each range keeps NaN out too
         if not 0.0 <= learning.gamma < 1.0:
             raise ConfigError("learning.gamma", f"gamma must be in [0, 1) (got {learning.gamma})")
@@ -128,11 +126,6 @@ class EpisodeConfig:
             )
         if not profile.routines:
             raise ConfigError("profile.routines", "no routines")
-        self._validate_behavior_and_fusion()
-        return self
-
-    def _validate_behavior_and_fusion(self) -> None:
-        behavior, fusion = self.behavior, self.fusion
         # durations become frame counts, so they must stay finite in frames
         for key, value, positive in (
             ("behavior.t_idle", behavior.t_idle, False),
@@ -143,14 +136,7 @@ class EpisodeConfig:
             if not ((value > 0.0 if positive else value >= 0.0) and math.isfinite(value * self.frame_rate)):
                 bound = "> 0" if positive else ">= 0"
                 raise ConfigError(key, f"must be {bound} seconds and finite at the frame rate (got {value})")
-        if not 0.0 <= behavior.r_lo < 1.0:
-            raise ConfigError("behavior.r_lo", f"must be in [0, 1) (got {behavior.r_lo})")
-        if not behavior.r_lo < behavior.r_hi <= 1.0:
-            raise ConfigError("behavior.r_hi", f"must be in (r_lo, 1] (got {behavior.r_hi}, r_lo {behavior.r_lo})")
-        if fusion.k_erratic < 1:
-            raise ConfigError("fusion.k_erratic", f"must be >= 1 (got {fusion.k_erratic})")
-        if not (math.isfinite(fusion.tau_jerk) and fusion.tau_jerk > 0.0):
-            raise ConfigError("fusion.tau_jerk", f"must be > 0 and finite (got {fusion.tau_jerk})")
+        return self
 
 
 def _ini_keys(cls, **ini_names) -> dict[str, tuple[str, type]]:
@@ -172,7 +158,6 @@ SECTIONS = {
     "episode": _ini_keys(EpisodeConfig, out_dir="out"),
     "learning": _ini_keys(PolicyConfig),
     "behavior": _ini_keys(BehaviorConfig),
-    "fusion": _ini_keys(FusionConfig),
     "profile": {"routines": ("routines", Routine), **_ini_keys(ViewerProfile)},
     "scene": _ini_keys(SceneConfig),
 }
@@ -267,10 +252,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Episo
     episode = _read(parser, "episode")
     learning = PolicyConfig(**_read(parser, "learning"))
     behavior = BehaviorConfig(**_read(parser, "behavior"))
-    fusion = FusionConfig(**_read(parser, "fusion"))
     profile = _load_profile(parser)
     scene = SceneConfig(**_read(parser, "scene"))
-    cfg = EpisodeConfig(**episode, learning=learning, behavior=behavior, fusion=fusion, profile=profile, scene=scene)
+    cfg = EpisodeConfig(**episode, learning=learning, behavior=behavior, profile=profile, scene=scene)
 
     if overrides:
         for key, value in overrides.items():

@@ -30,8 +30,6 @@ from .learning import Learner, StateId
 BACKGROUND_TRAINING_FRAMES = 10
 CURVE_WINDOW = 100  # decisions per attention-fraction window of the learning curve
 GESTURE_MEMO_SIZE = 64  # distinct body supports a PixelPipeline keeps labels for
-# label mode sees the whole face ellipse's bounding box
-LABEL_FACE_RATIO = (2 * viewer.FACE_AX + 1) * (2 * viewer.FACE_AY + 1) / (viewer.WIDTH * viewer.HEIGHT)
 
 
 @dataclass
@@ -63,14 +61,15 @@ class PixelPipeline:
         self.gestures: dict[bytes, str] = {}
 
     def process(self, face_frame, body_frame):
-        """(orientation label or None, jerk, gesture or None, face-area
-        ratio) of one pair of frames."""
+        """The three cues of one pair of frames, in label mode's order: the
+        orientation label (None when no face is found), the jerk and the
+        gesture (None when under 1 % of the body frame is foreground,
+        Unknown when no pose reference fits)."""
         cues = self.faces.observe(face_frame)
         if cues is None:
-            orientation_label, jerk, ratio = None, 0.0, 0.0
+            orientation_label, jerk = None, 0.0
         else:
-            rect, _, _, orientation_label, jerk = cues
-            ratio = rect.w * rect.h / (face_frame.width * face_frame.height)
+            _, _, _, orientation_label, jerk = cues
 
         mask = body.segment_foreground(self.background, body_frame)
         gesture = None
@@ -83,7 +82,7 @@ class PixelPipeline:
                 if len(self.gestures) == GESTURE_MEMO_SIZE:
                     del self.gestures[next(iter(self.gestures))]
                 self.gestures[key] = gesture
-        return orientation_label, jerk, gesture, ratio
+        return orientation_label, jerk, gesture
 
 
 def run_episode(cfg: EpisodeConfig):
@@ -98,7 +97,7 @@ def run_episode(cfg: EpisodeConfig):
     profile = cfg.profile
     learner = Learner(profile.routines, cfg.learning)
     engine = BehaviorEngine(cfg.behavior, cfg.frame_rate, initial=profile.routines[0])
-    evaluator = AttentionEvaluator(cfg.fusion)
+    evaluator = AttentionEvaluator()
     vstate = viewer.ViewerState()
     pipeline = PixelPipeline(cfg, rng_noise) if cfg.mode == "pixels" else None
 
@@ -133,7 +132,7 @@ def run_episode(cfg: EpisodeConfig):
         if pipeline is None:
             label_jerk_window.append((round(vstate.x), round(vstate.y)))
             orientation = viewer.true_orientation(vstate.yaw)
-            cues = orientation, face.estimate_jerk(label_jerk_window), vstate.pose, LABEL_FACE_RATIO
+            cues = orientation, face.estimate_jerk(label_jerk_window), vstate.pose
         else:
             face_frame = viewer.synthesize_face_frame(vstate, cfg.scene, rng_noise)
             body_frame = viewer.synthesize_body_frame(vstate.pose, cfg.scene, rng_noise)
@@ -141,8 +140,8 @@ def run_episode(cfg: EpisodeConfig):
                 write_pgm(face_frame, os.path.join(frames_dir, f"face_{tick:06d}.pgm"))
                 write_pgm(body_frame, os.path.join(frames_dir, f"body_{tick:06d}.pgm"))
             cues = pipeline.process(face_frame, body_frame)
-        orientation_label, jerk, gesture, ratio = cues
-        attention = evaluator.evaluate(orientation_label, jerk, gesture)
+        orientation_label, jerk, _ = cues
+        attention = evaluator.evaluate(*cues)
 
         # 3. learning at the decision tick: attribute reward, refresh model/values
         if decision:
@@ -153,7 +152,7 @@ def run_episode(cfg: EpisodeConfig):
         #    epsilon draw from the policy stream)
         explored = False
         old_routine = engine.state.current
-        routine, cause = engine.frame_step(attention, ratio, tick, rng_sched, policy_fn if decision else None)
+        routine, cause = engine.frame_step(attention, tick, rng_sched, policy_fn if decision else None)
         if routine != old_routine:
             log.transitions.append((tick, old_routine.value, routine.value, cause))
 

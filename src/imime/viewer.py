@@ -17,7 +17,7 @@ POSE_LABELS = ("ArmsDown", *GESTURES)
 
 FRONTAL_YAW = 15.0  # degrees; |yaw| below this means attending
 BURST_LENGTH = 8  # frames of injected high-jerk motion
-BURST_AMPLITUDE = 3.0  # px; 4th difference of an alternating burst is 16x this
+BURST_AMPLITUDE = 3.0  # px; a burst alternates between two positions this far apart, a 4th difference of 8x this
 RESPONSE_DELAY = 3  # frames between a prompt and a compliant gesture
 
 # face synthesizer tuning (calibrated so the vision defaults recover ground truth)

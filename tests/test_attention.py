@@ -1,10 +1,11 @@
 import pytest
 
-from imime.attention import AttentionEvaluator, AttentionState, FusionConfig
+from imime import attention
+from imime.attention import AttentionEvaluator, AttentionState
 
 
 def evaluator():
-    return AttentionEvaluator(FusionConfig())
+    return AttentionEvaluator()
 
 
 def test_no_face_is_passive():
@@ -43,8 +44,10 @@ def test_gesture_without_attending_is_passive():
     assert not st.attending and st.gesture == "Wave"
 
 
-def test_erratic_needs_consecutive_frames():
-    ev = AttentionEvaluator(FusionConfig(tau_jerk=12.0, k_erratic=3))
+def test_erratic_needs_consecutive_frames(monkeypatch):
+    monkeypatch.setattr(attention, "TAU_JERK", 12.0)
+    monkeypatch.setattr(attention, "K_ERRATIC", 3)
+    ev = evaluator()
     assert not ev.evaluate("Frontal", 20.0, None).erratic
     assert not ev.evaluate("Frontal", 20.0, None).erratic
     assert ev.evaluate("Frontal", 20.0, None).erratic
@@ -53,8 +56,10 @@ def test_erratic_needs_consecutive_frames():
     assert not ev.evaluate("Frontal", 20.0, None).erratic
 
 
-def test_jerk_at_threshold_does_not_count():
-    ev = AttentionEvaluator(FusionConfig(tau_jerk=12.0, k_erratic=1))
+def test_jerk_at_threshold_does_not_count(monkeypatch):
+    monkeypatch.setattr(attention, "TAU_JERK", 12.0)
+    monkeypatch.setattr(attention, "K_ERRATIC", 1)
+    ev = evaluator()
     assert not ev.evaluate("Frontal", 12.0, None).erratic
     assert ev.evaluate("Frontal", 12.001, None).erratic
 

@@ -38,39 +38,30 @@ def engine(frame_rate=10.0, **kw):
 def test_erratic_has_top_priority():
     e = engine()
     e.state.face_was_present = False
-    # erratic beats both the new-face and distance rules
-    out = e.reflex_step(att(face=True, erratic=True), 0.9, CoinStub())
+    # erratic beats the new-face rule
+    out = e.reflex_step(att(face=True, erratic=True), CoinStub())
     assert out == Routine.Puzzled
 
 
 def test_face_lost_picks_an_idle_routine():
     e = engine()
     e.state.face_was_present = True
-    assert e.reflex_step(att(face=False), 0.0, CoinStub([0.2])) == Routine.IdleGazeWander
+    assert e.reflex_step(att(face=False), CoinStub([0.2])) == Routine.IdleGazeWander
     e.state.face_was_present = True
-    assert e.reflex_step(att(face=False), 0.0, CoinStub([0.9])) == Routine.IdleDrum
+    assert e.reflex_step(att(face=False), CoinStub([0.9])) == Routine.IdleDrum
 
 
 def test_no_face_stays_in_chosen_idle():
     e = engine()
     e.state.face_was_present = False
     e.state.current = Routine.IdleDrum
-    assert e.reflex_step(att(face=False), 0.0, CoinStub()) == Routine.IdleDrum
+    assert e.reflex_step(att(face=False), CoinStub()) == Routine.IdleDrum
 
 
 def test_new_face_triggers_beckon():
     e = engine()
     e.state.face_was_present = False
-    assert e.reflex_step(att(face=True), 0.1, CoinStub()) == Routine.Beckon
-
-
-def test_distance_bounds_trigger_guide():
-    e = engine(r_lo=0.02, r_hi=0.30)
-    e.state.face_was_present = True
-    assert e.reflex_step(att(), 0.01, CoinStub()) == Routine.DistanceGuide
-    assert e.reflex_step(att(), 0.31, CoinStub()) == Routine.DistanceGuide
-    assert e.reflex_step(att(), 0.02, CoinStub()) is None
-    assert e.reflex_step(att(), 0.30, CoinStub()) is None
+    assert e.reflex_step(att(face=True), CoinStub()) == Routine.Beckon
 
 
 # --- scheduler ---------------------------------------------------------------------
@@ -168,7 +159,7 @@ def test_prompted_is_none_outside_the_prompted_phase():
     phases = set()
     for t in range(2000):
         gesture = GESTURES[int(rng.integers(len(GESTURES)))] if rng.random() < 0.05 else None
-        e.frame_step(att(face=True, attending=bool(rng.random() < 0.3), gesture=gesture), 0.1, t, rng)
+        e.frame_step(att(face=True, attending=bool(rng.random() < 0.3), gesture=gesture), t, rng)
         game = e.state.game
         phases.add(game.phase)
         assert (game.prompted is None) == (game.phase != "Prompted"), (t, game)
@@ -182,14 +173,14 @@ def test_feedback_override_holds_the_stage():
     e = engine(t_feedback=2.0, frame_rate=10.0)
     t, prompted = advance_to_prompt(e, CoinStub(integers=[0]))
     e.state.face_was_present = True
-    routine, cause = e.frame_step(att(face=True, attending=True, gesture=prompted), 0.1, t + 1, CoinStub())
+    routine, cause = e.frame_step(att(face=True, attending=True, gesture=prompted), t + 1, CoinStub())
     assert routine == Routine.Reward and cause == "game"
     # reflex (new face would normally beckon) cannot interrupt the hold
     e.state.face_was_present = False
-    routine, cause = e.frame_step(att(face=True), 0.1, t + 5, CoinStub())
+    routine, cause = e.frame_step(att(face=True), t + 5, CoinStub())
     assert routine == Routine.Reward and cause == "game"
     # after the hold expires control returns to the policy routine
-    routine, _ = e.frame_step(att(face=True), 0.1, t + 1 + e.ticks(e.cfg.t_feedback), CoinStub())
+    routine, _ = e.frame_step(att(face=True), t + 1 + e.ticks(e.cfg.t_feedback), CoinStub())
     assert routine == e.state.policy_routine
 
 
@@ -197,10 +188,10 @@ def test_policy_applies_only_on_decision_heads():
     e = engine()
     e.state.face_was_present = True
     e.state.last_interaction_at = 50
-    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.4]), policy_fn=lambda: Routine.Mimic)
+    routine, cause = e.frame_step(att(face=True, attending=True), 51, CoinStub([0.4]), policy_fn=lambda: Routine.Mimic)
     assert routine == Routine.Mimic and cause == "policy"
     assert e.state.policy_routine == Routine.Mimic
-    routine, cause = e.frame_step(att(face=True, attending=True), 0.1, 52, CoinStub([0.6]), policy_fn=lambda: Routine.Ponder)
+    routine, cause = e.frame_step(att(face=True, attending=True), 52, CoinStub([0.6]), policy_fn=lambda: Routine.Ponder)
     assert routine == Routine.Mimic  # tails: keep going
     assert e.state.policy_routine == Routine.Mimic
 
@@ -209,13 +200,13 @@ def test_reflex_does_not_overwrite_policy_routine():
     e = engine()
     e.state.face_was_present = True
     e.state.last_interaction_at = 50
-    e.frame_step(att(face=True, attending=True), 0.1, 51, CoinStub([0.0]), policy_fn=lambda: Routine.Mimic)
+    e.frame_step(att(face=True, attending=True), 51, CoinStub([0.0]), policy_fn=lambda: Routine.Mimic)
     assert e.state.policy_routine == Routine.Mimic
-    routine, cause = e.frame_step(att(face=True, attending=True, erratic=True), 0.1, 52, CoinStub())
+    routine, cause = e.frame_step(att(face=True, attending=True, erratic=True), 52, CoinStub())
     assert routine == Routine.Puzzled and cause == "reflex"
     assert e.state.policy_routine == Routine.Mimic
     # reflex clears -> the displayed routine falls back to the policy choice
-    routine, _ = e.frame_step(att(face=True, attending=True), 0.1, 53, CoinStub())
+    routine, _ = e.frame_step(att(face=True, attending=True), 53, CoinStub())
     assert routine == Routine.Mimic
 
 
@@ -224,7 +215,7 @@ def test_one_routine_change_per_frame():
     e.state.face_was_present = True
     e.state.last_interaction_at = 0
     before = e.state.current
-    routine, _ = e.frame_step(att(face=True, attending=True), 0.1, 1, CoinStub())
+    routine, _ = e.frame_step(att(face=True, attending=True), 1, CoinStub())
     assert routine in (before, e.state.current)
 
 

@@ -60,10 +60,7 @@ tol = 1e-7
 
 [behavior]
 t_idle = 30
-r_hi = 0.5
-
-[fusion]
-tau_jerk = 15
+t_resp = 4
 
 [profile]
 erratic_rate = 0.05
@@ -82,8 +79,7 @@ noise_sigma = 0
     assert cfg.frames_per_decision == 10
     assert cfg.dump_frames
     assert cfg.learning.epsilon == 0.2 and cfg.learning.gamma == 0.8
-    assert cfg.behavior.t_idle == 30.0 and cfg.behavior.r_hi == 0.5
-    assert cfg.fusion.tau_jerk == 15.0
+    assert cfg.behavior.t_idle == 30.0 and cfg.behavior.t_resp == 4.0
     assert cfg.profile.erratic_rate == 0.05 and cfg.profile.compliance == 0.7
     # two-part key sets the whole action column, three-part key one cell
     assert cfg.profile.prob(Routine.Ponder, True, Routine.Mimic) == 0.95
@@ -155,15 +151,6 @@ OUT_OF_RANGE = [
     ("behavior", "t_resp", "0", "behavior.t_resp"),
     ("behavior", "t_feedback", "nan", "behavior.t_feedback"),
     ("behavior", "t_idle", "1e308", "behavior.t_idle"),  # finite seconds, infinite frames
-    ("behavior", "r_lo", "-0.1", "behavior.r_lo"),
-    ("behavior", "r_lo", "nan", "behavior.r_lo"),
-    ("behavior", "r_hi", "0.01", "behavior.r_hi"),
-    ("behavior", "r_hi", "1.5", "behavior.r_hi"),
-    ("fusion", "k_erratic", "-3", "fusion.k_erratic"),
-    ("fusion", "k_erratic", "0", "fusion.k_erratic"),
-    ("fusion", "tau_jerk", "nan", "fusion.tau_jerk"),
-    ("fusion", "tau_jerk", "0", "fusion.tau_jerk"),
-    ("fusion", "t_recent", "-2", "fusion.t_recent"),
     ("episode", "seed", "-1", "episode.seed"),
     ("episode", "frame_rate", "nan", "episode.frame_rate"),
     ("episode", "frame_rate", "-10", "episode.frame_rate"),
@@ -264,9 +251,9 @@ def test_largest_noise_level_runs_without_warnings(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
 
 
-def test_meaningless_behavior_and_fusion_values_rejected(tmp_path, capsys):
+def test_meaningless_behavior_values_rejected(tmp_path, capsys):
     # each of these alone was accepted and ran with exit 0; the first is named
-    path = write(tmp_path, "[behavior]\nt_resp = -5\nr_lo = 0.5\nr_hi = 0.1\n[fusion]\nk_erratic = -3\ntau_jerk = nan\n")
+    path = write(tmp_path, "[behavior]\nt_resp = -5\nt_feedback = nan\n")
     assert cli.main(["run", "--config", path, "--steps", "200", "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("config error: behavior.t_resp:")
     assert not (tmp_path / "run").exists()
@@ -286,13 +273,20 @@ def test_dump_frames_rejected_in_label_mode_only(tmp_path, capsys, via):
     assert len(list((tmp_path / "run" / "frames").glob("body_*.pgm"))) == 10
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
 @pytest.mark.parametrize(
     "text, named",
     [
         ("[learning]\ngama = 1.0\n", "learning.gama"),
         ("[learning]\nmax_sweeps = 10000\n", "learning.max_sweeps"),  # the budget is learning.MAX_SWEEPS
         ("[episode]\nasync_values = yes\n", "episode.async_values"),
-        ("[fusion]\nt_recent = 0\n", "fusion.t_recent"),
+        # the distance reflex is gone, and the erratic-motion thresholds are
+        # attention.TAU_JERK and attention.K_ERRATIC
+        ("[behavior]\nr_lo = 0.02\n", "behavior.r_lo"),
+        ("[behavior]\nr_hi = 0.30\n", "behavior.r_hi"),
+        ("[fusion]\ntau_jerk = 12\n", "fusion"),
+        ("[fusion]\nk_erratic = 3\n", "fusion"),
+        ("[fusion]\nt_recent = 0\n", "fusion"),
         ("[behavior]\nselectable = Reward\n", "behavior.selectable"),
         ("[scene]\nwidht = 64\n", "scene.widht"),
         # the camera's geometry and background are constants in `viewer`
@@ -308,10 +302,13 @@ def test_dump_frames_rejected_in_label_mode_only(tmp_path, capsys, via):
         ("steps = 5\n", "config"),
     ],
 )
-def test_unknown_or_malformed_entries_exit_2_naming_them(tmp_path, capsys, text, named):
+def test_unknown_or_malformed_entries_exit_2_naming_them(tmp_path, capsys, command, text, named):
     path = write(tmp_path, text)
-    assert cli.main(["run", "--config", path, "--steps", "10", "--out", str(tmp_path / "run")]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {named}:")
+    argv = [command, "--config", path] + (["--steps", "10", "--out", str(tmp_path / "run")] if command == "run" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {named}:")
+    assert captured.out == ""
 
 
 def test_values_are_literal(tmp_path):
@@ -330,12 +327,8 @@ def test_session_ini_of_the_benchmark_loads(tmp_path):
     assert (cfg.steps, cfg.seed, cfg.behavior.t_idle, cfg.profile.erratic_rate) == (150, 12345, 3.0, 0.15)
 
 
-def test_behavior_and_fusion_boundaries_accepted(tmp_path):
-    path = write(
-        tmp_path,
-        "[behavior]\nt_idle = 0\nt_ponder = 0\nt_resp = 0.1\nt_feedback = 0\nr_lo = 0\nr_hi = 1\n"
-        "[fusion]\nk_erratic = 1\ntau_jerk = 1e-9\n",
-    )
+def test_behavior_boundaries_accepted(tmp_path):
+    path = write(tmp_path, "[behavior]\nt_idle = 0\nt_ponder = 0\nt_resp = 0.1\nt_feedback = 0\n")
     assert cli.main(["run", "--config", path, "--steps", "60", "--out", str(tmp_path / "run")]) == 0
 
 
@@ -364,12 +357,6 @@ _INI_VALUES = {
         "t_ponder": _SECONDS,
         "t_resp": (["0.1", "5"], ["0", "-5", "nan", "1e308"]),
         "t_feedback": _SECONDS,
-        "r_lo": (["0", "0.02", "0.5"], ["1", "-0.1", "nan"]),
-        "r_hi": (["0.6", "1"], ["0.01", "1.5", "nan"]),
-    },
-    "fusion": {
-        "tau_jerk": (["12", "1e-9"], ["0", "-1", "nan", "inf"]),
-        "k_erratic": (["3", "1"], ["0", "-3", "2.5"]),
     },
     "profile": {
         "routines": (["Beckon, Mimic, Ponder, PromptGesture", "Mimic", "Beckon, Reward"], ["", "Nope", "Mimic, Mimic"]),
@@ -402,6 +389,8 @@ def _ini_text(draw):
             + [
                 "gama = 1.0",
                 "[lerning]",
+                "[fusion]\ntau_jerk = 12",
+                "[behavior]\nr_lo = 0.02",
                 "[p_star]\nreward.attending.mimic = 0.5",
                 "[p_star]\nattendng.mimic = 0.0",
                 "[p_star]\nbeckon.attendng.mimic = 0.0",
@@ -497,9 +486,10 @@ def test_loader_keys_are_those_example_ini_lists():
             listed.add(f"{section}.{entry.group(1)}")  # commented keys too
     loaded = {f"{section}.{key}" for section, keys in config.SECTIONS.items() for key in keys}
     assert loaded == listed
-    # learning.max_sweeps became learning.MAX_SWEEPS, and the scene's
-    # geometry and background constants in `viewer`
-    assert len(loaded) == 23
+    # learning.max_sweeps became learning.MAX_SWEEPS, the scene's geometry
+    # and background constants in `viewer`, and [fusion] attention.TAU_JERK
+    # and K_ERRATIC; behavior.r_lo and r_hi went with the distance reflex
+    assert len(loaded) == 19
 
 
 def test_defaults_without_file_are_the_dataclass_defaults():

@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import hashlib
+import io
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imime
-from imime import body, cli, face, harness, viewer
+from imime import attention, body, cli, face, harness, viewer
 from imime.attention import AttentionEvaluator
 from imime.behavior import BehaviorEngine, Routine
 from imime.config import load_config
@@ -108,7 +111,7 @@ def test_label_mode_jerk_equals_array_form(monkeypatch):
         p = np.array(positions[t - 4 : t + 1])
         d = p[4] - 4 * p[3] + 6 * p[2] - 4 * p[1] + p[0]
         assert jerks[t].hex() == float(np.hypot(d[0], d[1])).hex(), t
-    assert max(jerks) > cfg.fusion.tau_jerk
+    assert max(jerks) > attention.TAU_JERK
 
 
 @pytest.mark.parametrize("mode", ["labels", "pixels"])
@@ -128,22 +131,43 @@ def test_cues_are_fused_once_per_frame(monkeypatch, mode):
 @given(
     seed=st.integers(0, 2**32 - 1),
     erratic_rate=st.floats(0.0, 1.0),
-    noise=st.sampled_from([0.0, 2.0, 8.0]),
+    noise=st.floats(0.0, 18.0),
 )
 @example(seed=3, erratic_rate=0.15, noise=2.0)
+@example(seed=3, erratic_rate=0.15, noise=18.0)
 def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
-    # up to sensor noise 8 the vision stack recovers the viewer's orientation,
-    # drawn head position and pose on every frame, so the two modes log the
-    # same rows; the game prompts after 1 s, so gestures are drawn too
-    rows = []
+    # the loop acts on the orientation, the jerk and the gesture attention
+    # keeps (not Unknown or ArmsDown) alone, so the two modes log the same
+    # rows up to the first frame where one of them differs. Up to sensor
+    # noise 2, the default, no frame does: VAR_FLOOR holds the background
+    # test at 3 sigma or more. Above it a draw now and then parts (README):
+    # a speck of false foreground holds up the drape and a drawn gesture
+    # reads Unknown, or from about 17 the face box is a pixel off. The game
+    # prompts after 1 s, so gestures are drawn
+    rows, seen = [], []
+    evaluate = AttentionEvaluator.evaluate
     for mode in ("labels", "pixels"):
         cfg = load_config(None, {"mode": mode, "steps": 300, "seed": seed})
         cfg.profile.erratic_rate = erratic_rate
         cfg.scene.noise_sigma = noise
         cfg.behavior.t_idle = cfg.behavior.t_ponder = 1.0
-        rows.append(harness.run_episode(cfg)[0].rows)
+        cues = []
+
+        def recording_evaluate(self, orientation_label, jerk, gesture):
+            state = evaluate(self, orientation_label, jerk, gesture)
+            cues.append((orientation_label, jerk, state.gesture))
+            return state
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(AttentionEvaluator, "evaluate", recording_evaluate)
+            rows.append(harness.run_episode(cfg)[0].rows)
+        seen.append(cues)
     assert list(rows[0][0]) == harness.LOG_FIELDS
-    assert rows[1] == rows[0]
+    label, pixel = seen
+    assert len(label) == len(pixel) == len(rows[0])
+    parted = next((t for t, (a, b) in enumerate(zip(label, pixel)) if a != b), len(label))
+    assert parted == len(label) or noise > 2.0, (parted, label[parted], pixel[parted])
+    assert rows[1][:parted] == rows[0][:parted]
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
@@ -285,7 +309,7 @@ def test_mirrored_poses_keep_their_own_gestures():
     face_frame = viewer.synthesize_face_frame(viewer.ViewerState(), cfg.scene, rng)
     got = []
     for label in viewer.POSE_LABELS * 2:
-        _, _, gesture, _ = pipeline.process(face_frame, viewer.synthesize_body_frame(label, cfg.scene, rng))
+        _, _, gesture = pipeline.process(face_frame, viewer.synthesize_body_frame(label, cfg.scene, rng))
         got.append(gesture)
     assert got == list(viewer.POSE_LABELS * 2)
     assert len(pipeline.gestures) == len(viewer.POSE_LABELS)
@@ -781,6 +805,10 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         (["analyze", "--frames", "{frames}", "--out", "{tmp}/" + "a" * 300 + ".csv"], "--out"),  # was [Errno 36]
         (["plot", "--log", "{log}", "--out", "{tmp}/a\0b.csv"], "--out"),  # read the whole log, then exit 3
         (["plot", "--log", "{log}", "--out", "{tmp}/" + "a" * 300 + ".csv"], "--out"),  # the same, [Errno 36]
+        # an output that is one of the inputs: analyze truncated the frame,
+        # then exited 3; plot overwrote the log with its curve, exit 0
+        (["analyze", "--frames", "{frames}", "--out", "{frames}/../frames/face_000000.pgm"], "--out"),
+        (["plot", "--log", "{log}", "--out", "{log}"], "--out"),
     ],
     ids=[
         "analyze-out-dir",
@@ -799,6 +827,8 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
         "analyze-out-overlong",
         "plot-out-nul",
         "plot-out-overlong",
+        "analyze-out-is-a-frame",
+        "plot-out-is-the-log",
     ],
 )
 def test_cli_unusable_paths_exit_2_before_any_work(tmp_path, capsys, monkeypatch, argv, flag):
@@ -827,6 +857,88 @@ def test_cli_runtime_error_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def dumped_run(tmp_path_factory):
+    """The output directory of a 2-frame pixel run with its frames dumped."""
+    out = tmp_path_factory.mktemp("dumped") / "px"
+    assert cli.main(["run", "--steps", "2", "--mode", "pixels", "--dump-frames", "--out", str(out)]) == 0
+    return out
+
+
+# the path arguments of each command: (flag, required), the input first
+PATH_FLAGS = {
+    "run": [("--config", False), ("--out", True)],
+    "oracle": [("--config", False)],
+    "analyze": [("--frames", True), ("--out", False)],
+    "plot": [("--log", True), ("--out", True)],
+}
+# the names an exit 2 of each command may give
+ERROR_NAMES = {
+    "run": {"config", "episode.out"},
+    "oracle": {"config"},
+    "analyze": {"--frames", "--out"},
+    "plot": {"--log", "--out"},
+}
+PATH_KINDS = ["missing", "file", "dir", "below_file", "empty", "frameless", "frames", "log", "bad_log"]
+
+
+def _tree(root: Path) -> dict:
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("command", sorted(PATH_FLAGS))
+def test_any_path_arguments_exit_0_2_or_a_listed_3(dumped_run, command, data):
+    # exit 3 is left to the inputs only their reading rejects (README): here
+    # a `plot --log` file without the decision and reward columns
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(dumped_run, tmp / "px")
+        (tmp / "a_file").write_text("kept\n")
+        (tmp / "a_dir").mkdir()
+        (tmp / "frameless").mkdir()  # body frames, no face frames
+        shutil.copy(dumped_run / "frames" / "body_000000.pgm", tmp / "frameless")
+        (tmp / "bad_log.csv").write_text("tick,routine\n0,Mimic\n")
+        paths = {
+            "missing": tmp / "missing",
+            "file": tmp / "a_file",
+            "dir": tmp / "a_dir",
+            "below_file": tmp / "a_file" / "sub",
+            "empty": "",
+            "frameless": tmp / "frameless",
+            "frames": tmp / "px" / "frames",
+            "log": tmp / "px" / "episode.csv",
+            "bad_log": tmp / "bad_log.csv",
+        }
+        argv = [command, "--steps", "4"] if command == "run" else [command]
+        kinds, source = {}, None
+        for i, (flag, required) in enumerate(PATH_FLAGS[command]):
+            kind = st.sampled_from(PATH_KINDS + ([] if required else [None]))
+            if i and source is not None:  # the input itself as the output, drawn often
+                kind = st.one_of(st.just("self"), kind)
+            kind = kinds[flag] = data.draw(kind, label=flag)
+            if kind is None:
+                continue
+            path = paths[kind] if kind != "self" else source
+            if i == 0:  # the input; analyze reads the face frames inside it
+                source = path / "face_000000.pgm" if command == "analyze" and path else path
+            argv += [flag, str(path)]
+        before = _tree(tmp)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 3:
+            assert command == "plot" and kinds["--log"] == "bad_log", err
+        else:
+            assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("config error: ") and err.split(":")[1].strip() in ERROR_NAMES[command], err
+            assert _tree(tmp) == before
 
 
 VISION_REPORT = Path(__file__).resolve().parents[1] / "scripts" / "vision_accuracy_report.py"

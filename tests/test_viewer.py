@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imime import body, face, harness, viewer
+from imime import body, face, viewer
 from imime.behavior import Routine
 from imime.viewer import (
     FACE_AX,
@@ -119,8 +119,7 @@ def test_frame_update_position_bounds_match_clip(x, y):
 def test_head_ellipse_stays_in_frame():
     # the extremes `frame_update` reaches: the clamp, then a burst step of
     # BURST_AMPLITUDE either way (x 37..91, y 40..80); the whole ellipse box
-    # lies inside the frame there, so the detector sees all of the head and
-    # label mode's face-area ratio is the one pixel mode measures
+    # lies inside the frame there, so the detector sees all of the head
     reached = []
     for x, y, phase in itertools.product((-1e9, 1e9), (-1e9, 1e9), (0, 1)):
         state = ViewerState(x=x, y=y, burst_left=1, burst_phase=phase)
@@ -134,7 +133,6 @@ def test_head_ellipse_stays_in_frame():
             frame = synthesize_face_frame(ViewerState(yaw=yaw, x=x, y=y), quiet_scene(), np.random.default_rng(0))
             rect = face.BrightnessBlobDetector().detect(frame)
             assert (rect.x, rect.y, rect.w, rect.h) == (x - FACE_AX, y - FACE_AY, 2 * FACE_AX + 1, 2 * FACE_AY + 1)
-            assert rect.w * rect.h / (frame.width * frame.height) == harness.LABEL_FACE_RATIO
 
 
 def test_frame_update_compliant_gesture_after_delay():
