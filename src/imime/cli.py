@@ -16,15 +16,6 @@ from .config import ConfigError, check_output_path, load_config
 from .frames import read_pgm
 
 
-def _check_not_input(out: str, inputs) -> None:
-    """Raise a ConfigError naming --out if it is one of the files a command
-    reads: writing it would truncate that input before it is read."""
-    if os.path.exists(out):
-        for path in inputs:
-            if os.path.samefile(out, path):
-                raise ConfigError("--out", f"would overwrite the input {path}")
-
-
 def _cmd_run(args) -> int:
     overrides = {
         "seed": args.seed,
@@ -59,9 +50,8 @@ def _cmd_analyze(args) -> int:
     if not names:
         raise ConfigError("--frames", f"no face_*.pgm frames in {args.frames}")
     out_path = os.path.join(args.frames, "analysis.csv") if args.out is None else args.out
-    check_output_path("--out", out_path, file=True)
     paths = [os.path.join(args.frames, name) for name in names]
-    _check_not_input(out_path, paths)
+    check_output_path("--out", out_path, file=True, inputs=paths)
     faces = face.FaceTracker()
     prev_frame = None
     with open(out_path, "w", newline="") as f:
@@ -100,8 +90,7 @@ def _cmd_plot(args) -> int:
             # a .png curve falls back to the CSV of the same name, checked as --out
             args.out = args.out[:-4] + ".csv"
             print("matplotlib unavailable, degrading to CSV", file=sys.stderr)
-    check_output_path("--out", args.out, file=True)
-    _check_not_input(args.out, [args.log])
+    check_output_path("--out", args.out, file=True, inputs=[args.log])
     rewards = []
     with open(args.log, newline="") as f:
         for row in csv.DictReader(f):

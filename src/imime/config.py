@@ -23,16 +23,24 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def check_output_path(key: str, path: str, file: bool = False) -> None:
+def check_output_path(key: str, path: str, file: bool = False, inputs=()) -> None:
     """Raise a ConfigError naming `key` unless `path` can be made as a
-    directory, or with `file` written as a file in an existing directory.
-    Outputs are written after the work, so callers check them before it."""
+    directory, or with `file` written as a file in an existing directory
+    that is none of the existing files `inputs` (writing it would truncate
+    an input before it is read). Outputs are written after the work, so
+    callers check them before it."""
     if not path:
         raise ConfigError(key, f"must name an output {'file' if file else 'directory'}")
     if "\0" in path:
         raise ConfigError(key, f"{path!r} contains a NUL byte")
     if file and os.path.isdir(path):
         raise ConfigError(key, f"{path} is a directory")
+    if inputs and os.path.exists(path):
+        out = os.stat(path)
+        for name in inputs:
+            st = os.stat(name)
+            if (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino):
+                raise ConfigError(key, f"would overwrite the input {name}")
     head = parent = os.path.dirname(path) if file else path
     while head and not os.path.exists(head):  # the nearest existing part
         head = os.path.dirname(head)

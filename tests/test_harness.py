@@ -127,23 +127,10 @@ def test_cues_are_fused_once_per_frame(monkeypatch, mode):
     assert [(r["orientation"], r["jerk"]) for r in log.rows] == [(o or "NoFace", round(j, 6)) for o, j in cues]
 
 
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    erratic_rate=st.floats(0.0, 1.0),
-    noise=st.floats(0.0, 18.0),
-)
-@example(seed=3, erratic_rate=0.15, noise=2.0)
-@example(seed=3, erratic_rate=0.15, noise=18.0)
-def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
-    # the loop acts on the orientation, the jerk and the gesture attention
-    # keeps (not Unknown or ArmsDown) alone, so the two modes log the same
-    # rows up to the first frame where one of them differs. Up to sensor
-    # noise 2, the default, no frame does: VAR_FLOOR holds the background
-    # test at 3 sigma or more. Above it a draw now and then parts (README):
-    # a speck of false foreground holds up the drape and a drawn gesture
-    # reads Unknown, or from about 17 the face box is a pixel off. The game
-    # prompts after 1 s, so gestures are drawn
+def run_both_modes(seed, erratic_rate, noise):
+    """The rows of a label-mode and a pixel-mode episode of 300 frames, and
+    the orientation, jerk and kept gesture each mode fuses per frame. The
+    game prompts after 1 s, so gestures are drawn."""
     rows, seen = [], []
     evaluate = AttentionEvaluator.evaluate
     for mode in ("labels", "pixels"):
@@ -163,11 +150,47 @@ def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
             rows.append(harness.run_episode(cfg)[0].rows)
         seen.append(cues)
     assert list(rows[0][0]) == harness.LOG_FIELDS
-    label, pixel = seen
-    assert len(label) == len(pixel) == len(rows[0])
+    return rows, seen
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    erratic_rate=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 2.0),
+)
+@example(seed=3, erratic_rate=0.15, noise=2.0)
+@example(seed=574671949, erratic_rate=0.499, noise=8.0).xfail(
+    raises=AssertionError,
+    reason="a speck of false foreground holds up the drape at frame 118 and RightArmRaised reads Unknown",
+)
+def test_pixel_mode_reproduces_label_mode(seed, erratic_rate, noise):
+    # up to sensor noise 2, the default, the vision stack recovers the
+    # viewer's orientation, drawn head position and pose on every frame
+    # (VAR_FLOOR holds the background test at 3 sigma or more), so the two
+    # modes log the same rows. Above it a draw now and then parts (README);
+    # the example at 8 must keep failing until the drape is kept off specks
+    (label, pixel), _ = run_both_modes(seed, erratic_rate, noise)
+    assert pixel == label
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    erratic_rate=st.floats(0.0, 1.0),
+    noise=st.floats(0.0, 18.0),
+)
+@example(seed=3, erratic_rate=0.15, noise=18.0)
+def test_pixel_mode_follows_label_mode_until_the_cues_part(seed, erratic_rate, noise):
+    # the loop acts on the orientation, the jerk and the gesture attention
+    # keeps (not Unknown or ArmsDown) alone, so up to noise 18 the two modes
+    # log the same rows up to the first frame where one of those differs:
+    # a speck of false foreground holds up the drape and a drawn gesture
+    # reads Unknown, or from about 17 the face box is a pixel off
+    (label_rows, pixel_rows), (label, pixel) = run_both_modes(seed, erratic_rate, noise)
+    assert len(label) == len(pixel) == len(label_rows)
     parted = next((t for t, (a, b) in enumerate(zip(label, pixel)) if a != b), len(label))
-    assert parted == len(label) or noise > 2.0, (parted, label[parted], pixel[parted])
-    assert rows[1][:parted] == rows[0][:parted]
+    assert pixel_rows[:parted] == label_rows[:parted]
 
 
 @pytest.mark.parametrize("seed", [3, 7, 11])
